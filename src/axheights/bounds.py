@@ -27,12 +27,12 @@ from .curve import Curve, Point
 from .errors import NotMinimal
 from .heights import (
     HeightBreakdown,
+    _to_minimal,
     canonical_height,
     denominator_sequence,
     limit_oracle,
     nonarch_sum_identity,
 )
-from .local_heights import DEFAULT_TERMS
 
 logger = logging.getLogger(__name__)
 
@@ -188,54 +188,42 @@ def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
     )
 
 
-def certify_point(
-    curve: Curve, point: Point, terms: int = DEFAULT_TERMS
-) -> list[BoundCheck]:
+def certify_point(curve: Curve, point: Point) -> list[BoundCheck]:
     """Certify one point against every applicable bound.
 
     Nontorsion points get the Lang, Corollary, difference and B2 checks;
     torsion points only the difference checks (their difference is exactly
-    0 or (1/4)log|a|).  Margins within the numeric error bound are retried
-    once at doubled series length before being reported inconclusive.
+    0 or (1/4)log|a|).  A margin within the numeric error bound is reported
+    inconclusive.
     """
-    return _certify(curve, point, terms)[0]
+    return _certify(curve, point)[0]
 
 
-def _certify(
-    curve: Curve, point: Point, terms: int
-) -> tuple[list[BoundCheck], HeightBreakdown]:
-    bd = canonical_height(curve, point, terms)
-    checks = _certify_from_breakdown(curve, point, bd)
-    if any(c.status == "inconclusive" for c in checks):
-        bd = canonical_height(curve, point, terms * 2)
-        checks = _certify_from_breakdown(curve, point, bd)
-    return checks, bd
-
-
-def _certify_from_breakdown(
-    curve: Curve, point: Point, bd: HeightBreakdown
-) -> list[BoundCheck]:
+def _certify(curve: Curve, point: Point) -> tuple[list[BoundCheck], HeightBreakdown]:
+    """The checks of certify_point together with the height breakdown they
+    were read from."""
+    bd = canonical_height(curve, point)
     err = bd.error_bound
     db = diff_bounds(curve.a)
-    checks = []
-    if not bd.is_torsion:
-        minimal, s = curve.minimalize()
-        lang = lang_lower_bound(minimal.a)
-        checks.append(
-            _verdict("Lang", lang.bound, bd.canonical, bd.canonical - lang.bound, err,
-                     note=lang.class_tag)
-        )
-        cor = corollary_bound(curve.a)
-        checks.append(_verdict("Corollary", cor, bd.canonical, bd.canonical - cor, err))
     diff = bd.difference
-    checks.append(_verdict("DiffUpper", db.upper, diff, db.upper - diff, err))
-    checks.append(_verdict("DiffLowerSqrt", db.lower_sqrt, diff, diff - db.lower_sqrt, err))
-    checks.append(_verdict("DiffLowerConst", db.lower_const, diff, diff - db.lower_const, err))
-    if not bd.is_torsion:
-        minimal, s = curve.minimalize()
-        q = point if s == 1 else Point(point.x / s**2, point.y / s**3)
-        checks.append(check_b2_bounds(minimal, q))
-    return checks
+    checks = [
+        _verdict("DiffUpper", db.upper, diff, db.upper - diff, err),
+        _verdict("DiffLowerSqrt", db.lower_sqrt, diff, diff - db.lower_sqrt, err),
+        _verdict("DiffLowerConst", db.lower_const, diff, diff - db.lower_const, err),
+    ]
+    if bd.is_torsion:
+        return checks, bd
+    minimal, q, _ = _to_minimal(curve, point)
+    lang = lang_lower_bound(minimal.a)
+    cor = corollary_bound(curve.a)
+    checks = [
+        _verdict("Lang", lang.bound, bd.canonical, bd.canonical - lang.bound, err,
+                 note=lang.class_tag),
+        _verdict("Corollary", cor, bd.canonical, bd.canonical - cor, err),
+        *checks,
+        check_b2_bounds(minimal, q),
+    ]
+    return checks, bd
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +351,7 @@ def sweep_curve(a: int, search_bound: int, oracle_depth: int = 6) -> tuple[list[
                 {"a": a, "x": str(point.x), "y": str(point.y), "difference": bd.difference}
             )
             continue
-        checks, bd = _certify(curve, point, DEFAULT_TERMS)
+        checks, bd = _certify(curve, point)
         identity_ok, _ = nonarch_sum_identity(curve, point)
         x2p = curve.double(point).x
         square_ok = x2p >= 0 and is_rational_square(x2p) is not None
@@ -423,7 +411,7 @@ def sweep(
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_curve_task, tasks, chunksize=8))
-        except (OSError, PermissionError) as exc:  # pragma: no cover
+        except OSError as exc:  # pragma: no cover
             logger.warning("process pool unavailable (%s); running serially", exc)
             results = None
     if results is None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .arithmetic import parse_rational
-from .bounds import BoundCheck, SweepReport, certify_point, sweep
+from .bounds import BoundCheck, SweepReport, _certify, sweep
 from .curve import Curve, Point
 from .errors import (
     AxHeightsError,
@@ -33,7 +33,7 @@ from .errors import (
     RowValidationFailed,
 )
 from .families import family_diff, family_lang_neg, family_lang_pos
-from .heights import MAX_DOUBLINGS, canonical_height, limit_oracle
+from .heights import MAX_DOUBLINGS, HeightBreakdown, canonical_height, limit_oracle
 from .local_heights import bad_primes, classify_reduction
 
 SCHEMA_VERSION = 1
@@ -90,11 +90,6 @@ def _load_config(path: str | None) -> dict:
         return json.load(handle)
 
 
-def _emit(document: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(document, indent=2))
-
-
 def cmd_classify(args) -> int:
     curve = Curve(args.a)
     if not curve.is_minimal:
@@ -134,9 +129,10 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _height_document(curve: Curve, point: Point, command: str, started: float) -> dict:
+def _height_document(
+    curve: Curve, point: Point, bd: HeightBreakdown, command: str, started: float
+) -> dict:
     # timing goes to stderr so identical inputs give byte-identical JSON
-    bd = canonical_height(curve, point)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -168,10 +164,7 @@ def cmd_height(args) -> int:
     started = time.perf_counter()
     curve = Curve(args.a)
     point = _point(args)
-    if not curve.contains(point):
-        print(f"error: {point} is not on y^2 = x^3 + {args.a}x", file=sys.stderr)
-        return EXIT_NOT_ON_CURVE
-    doc = _height_document(curve, point, "height", started)
+    doc = _height_document(curve, point, canonical_height(curve, point), "height", started)
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -193,11 +186,8 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     curve = Curve(args.a)
     point = _point(args)
-    if not curve.contains(point):
-        print(f"error: {point} is not on y^2 = x^3 + {args.a}x", file=sys.stderr)
-        return EXIT_NOT_ON_CURVE
-    checks = certify_point(curve, point)
-    doc = _height_document(curve, point, "verify", started)
+    checks, bd = _certify(curve, point)
+    doc = _height_document(curve, point, bd, "verify", started)
     doc["checks"] = [_check_dict(c) for c in checks]
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -337,10 +327,8 @@ def cmd_extremal(args) -> int:
         "validated": candidate.validated,
     }
     if args.certify:
-        curve = Curve(candidate.a)
-        checks = certify_point(curve, candidate.point)
+        checks, bd = _certify(Curve(candidate.a), candidate.point)
         doc["checks"] = [_check_dict(c) for c in checks]
-        bd = canonical_height(curve, candidate.point)
         doc["canonical"] = _fmt(bd.canonical)
         doc["difference"] = _fmt(bd.difference)
     print(json.dumps(doc, indent=2))
@@ -350,9 +338,6 @@ def cmd_extremal(args) -> int:
 def cmd_oracle(args) -> int:
     curve = Curve(args.a)
     point = _point(args)
-    if not curve.contains(point):
-        print(f"error: {point} is not on y^2 = x^3 + {args.a}x", file=sys.stderr)
-        return EXIT_NOT_ON_CURVE
     bd = canonical_height(curve, point)
     oracle = limit_oracle(curve, point, args.depth)
     gap = abs(bd.canonical - oracle)

@@ -42,11 +42,6 @@ class DepthExceeded(AxHeightsError):
     """Requested doubling depth is beyond the configured cap."""
 
 
-class NonConvergent(AxHeightsError):
-    """Reserved: the archimedean series failed to converge.  Never raised
-    for valid input."""
-
-
 class NoRationalHalf(AxHeightsError):
     """The halving quadratics have no rational root, i.e. the requested
     x-coordinate is not x(2P) for any rational P."""

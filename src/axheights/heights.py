@@ -19,9 +19,9 @@ from .arithmetic import factorize, is_rational_square, ord_int
 from .curve import Curve, Point, x_after_doubling
 from .errors import DepthExceeded, InfinityPoint, NotMinimal, TorsionPoint
 from .local_heights import (
-    DEFAULT_TERMS,
     ArchHeightValue,
     NonArchLocalHeight,
+    bad_primes,
     lambda_archimedean,
     lambda_nonarch,
 )
@@ -84,7 +84,7 @@ def _to_minimal(curve: Curve, point: Point) -> tuple[Curve, Point, int]:
 def height_primes(curve: Curve, point: Point) -> list[int]:
     """Primes that can contribute to lambda_p: those dividing 2a or the
     denominator of x(P).  Everywhere else the local height is zero."""
-    primes = set(factorize(2 * curve.a))
+    primes = set(bad_primes(curve))
     if point.x.denominator > 1:
         primes |= set(factorize(point.x.denominator))
     return sorted(primes)
@@ -94,9 +94,7 @@ def height_primes(curve: Curve, point: Point) -> list[int]:
 _ITEMIZE_LIMIT = 10**18
 
 
-def canonical_height(
-    curve: Curve, point: Point, terms: int = DEFAULT_TERMS
-) -> HeightBreakdown:
+def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
     """hhat(P) via local decomposition, with a certified error bound.
 
     Non-minimal a is handled by minimalizing the curve and mapping the point
@@ -116,13 +114,12 @@ def canonical_height(
             error_bound=0.0,
             is_torsion=True,
         )
-    arch = lambda_archimedean(minimal, q, terms)
-    core_primes = sorted(factorize(2 * minimal.a))
+    arch = lambda_archimedean(minimal, q)
+    prime_list = bad_primes(minimal)
     bulk = q.x.denominator
-    for p in core_primes:
+    for p in prime_list:
         while bulk % p == 0:
             bulk //= p
-    prime_list = list(core_primes)
     bulk_log = 0.0
     if bulk > 1:
         if bulk <= _ITEMIZE_LIMIT:
@@ -201,7 +198,7 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
         return False, {}
     delta = int(delta)
     indicator = curve.a % 16 == 4 and x2 != 0 and ord_int(x2.numerator, 2) > 0
-    primes = set(factorize(2 * curve.a))
+    primes = set(bad_primes(curve))
     if delta > 1:
         primes |= set(factorize(delta))
     residues: dict[int, Fraction] = {}

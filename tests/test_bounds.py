@@ -85,6 +85,21 @@ def test_certify_point_passes():
                 assert c.margin > c.error_bound
 
 
+def test_certify_non_minimal_model_matches_minimal():
+    # 48 = 3 * 2^4 maps (4, 16) to (1, 2); Lang, Corollary and B2 are read on
+    # the minimal model, the difference checks on the model given
+    def keyed(checks):
+        return {
+            c.theorem: (c.bound, c.margin, c.status, c.note)
+            for c in checks
+            if c.theorem in ("Lang", "Corollary", "B2")
+        }
+
+    scaled = keyed(certify_point(Curve(48), affine(4, 16)))
+    assert scaled.keys() == {"Lang", "Corollary", "B2"}
+    assert scaled == keyed(certify_point(Curve(3), affine(1, 2)))
+
+
 def test_certify_torsion_point():
     checks = certify_point(Curve(4), affine(2, 4))
     assert {c.theorem for c in checks} == {"DiffUpper", "DiffLowerSqrt", "DiffLowerConst"}

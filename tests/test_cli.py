@@ -50,8 +50,24 @@ def test_height_torsion(capsys):
 
 
 def test_height_not_on_curve(capsys):
-    code, _, err = run(capsys, "height", "--a", "3", "--x", "1", "--y", "5")
-    assert code == 4
+    for command in ("height", "verify", "oracle"):
+        code, out, err = run(capsys, command, "--a", "3", "--x", "1", "--y", "5")
+        assert code == 4
+        assert out == ""
+        assert "error: (1, 5) is not on y^2 = x^3 + 3x" in err.splitlines()
+
+
+def test_verify_json_extends_height_json(capsys):
+    point = ("--a", "-2", "--x", "-1", "--y", "1", "--json")
+    code, out, _ = run(capsys, "height", *point)
+    assert code == 0
+    height = json.loads(out)
+    code, out, _ = run(capsys, "verify", *point)
+    assert code == 0
+    verify = json.loads(out)
+    assert verify.pop("command") == "verify" and height.pop("command") == "height"
+    assert len(verify.pop("checks")) == 6
+    assert verify == height
 
 
 def test_malformed_rational_exits_2(capsys):
