@@ -166,8 +166,8 @@ def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
     group = residue_group(curve.a)
     class_bound = {"g1": 4, "g2": 2, "g4": 0}[group]
     ord2x = ord_p(point.x, 2) if point.x != 0 else None
-    stated = (curve.a % 16 != 4) or (ord2x != 1)
-    proof_shape = (curve.a % 16 != 4) or (ord2x is not None and ord2x % 2 == 0)
+    stated = (group != "g4") or (ord2x != 1)
+    proof_shape = (group != "g4") or (ord2x is not None and ord2x % 2 == 0)
     note = f"ord2(B1)={b1.ord2_B}, ord2(B2)={b2.ord2_B}, step_required={stated}"
     if stated and not proof_shape:
         logger.warning(
@@ -236,43 +236,42 @@ _SQ_MOD = frozenset((i * i) % 256 for i in range(256))
 
 
 def find_points(curve: Curve, search_bound: int) -> list[Point]:
-    """Affine points found by the descent shape x = u*M^2/e^2.
+    """Affine points found by the descent shape of a rational point.
 
-    u runs over signed squarefree divisors of a and M, e over coprime pairs
-    up to the bound; every rational point has this shape, so the search is
-    exhaustive up to the box.  Returns nontorsion and torsion points alike,
-    one representative per x with y >= 0, sorted by x.
+    Every affine point with x != 0 is (b1*M^2/e^2, b1*M*N/e^3) with
+    a = b1*b2, b1 squarefree, gcd(M, e) = gcd(b1, e) = 1 and
+    N^2 = b1*M^4 + b2*e^4 (see DescentForm).  b1 runs over the signed
+    squarefree divisors of a and M, e up to the bound, so the search is
+    exhaustive up to the box; x is then in lowest terms, so no x is found
+    twice.  Returns nontorsion and torsion points alike, with y >= 0,
+    sorted by x.
     """
     a = curve.a
-    found: dict[Fraction, Point] = {}
-    m2 = [m * m for m in range(search_bound + 1)]
-    m4 = [v * v for v in m2]
-    e4 = m4
-    units = [1, -1] if a < 0 else [1]
-    for u0 in squarefree_divisors(a):
-        for sign in units:
-            u = sign * u0
-            u2 = u * u
+    found: list[Point] = []
+    for d in squarefree_divisors(a):
+        # for a > 0 a negative b1 makes b2 negative too, and N^2 < 0
+        for b1 in (d, -d) if a < 0 else (d,):
+            b2 = a // b1
             for e in range(1, search_bound + 1):
-                if math.gcd(u0, e) != 1:
+                if math.gcd(d, e) != 1:
                     continue
-                ae4 = a * e4[e]
-                ee = e * e
-                e3 = e * ee
+                b2e4 = b2 * e**4
                 for m in range(1, search_bound + 1):
                     if math.gcd(m, e) != 1:
                         continue
-                    um2 = u * m2[m]
-                    target = um2 * (u2 * m4[m] + ae4)
-                    if target < 0 or (target & 255) not in _SQ_MOD:
+                    n2 = b1 * m**4 + b2e4
+                    if n2 < 0 or (n2 & 255) not in _SQ_MOD:
                         continue
-                    root = isqrt_exact(target)
-                    if root is None:
-                        continue
-                    x = Fraction(um2, ee)
-                    if x not in found:
-                        found[x] = Point(x, Fraction(root, e3))
-    return [found[x] for x in sorted(found)]
+                    n = isqrt_exact(n2)
+                    if n is not None:
+                        x = Fraction(b1 * m * m, e * e)
+                        found.append(Point(x, Fraction(d * m * n, e**3)))
+    found.sort(key=lambda p: p.x)
+    return found
+
+
+#: doublings of the limit-definition oracle each sweep row is compared with
+ORACLE_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -338,14 +337,13 @@ class SweepReport:
         return out
 
 
-def sweep_curve(a: int, search_bound: int, oracle_depth: int = 6) -> tuple[list[SweepRow], list[dict]]:
+def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
     """Certify every point found on one fourth-power-free curve."""
     curve = Curve(a)
     rows: list[SweepRow] = []
     torsion_rows: list[dict] = []
-    torsion_points = curve.torsion_subgroup().points
     for point in find_points(curve, search_bound):
-        if point in torsion_points or -point in torsion_points:
+        if curve.is_torsion(point):
             bd = canonical_height(curve, point)
             torsion_rows.append(
                 {"a": a, "x": str(point.x), "y": str(point.y), "difference": bd.difference}
@@ -355,7 +353,7 @@ def sweep_curve(a: int, search_bound: int, oracle_depth: int = 6) -> tuple[list[
         identity_ok, _ = nonarch_sum_identity(curve, point)
         x2p = curve.double(point).x
         square_ok = x2p >= 0 and is_rational_square(x2p) is not None
-        gap = abs(bd.canonical - limit_oracle(curve, point, oracle_depth))
+        gap = abs(bd.canonical - limit_oracle(curve, point, ORACLE_DEPTH))
         rows.append(
             SweepRow(
                 a=a,
@@ -374,9 +372,9 @@ def sweep_curve(a: int, search_bound: int, oracle_depth: int = 6) -> tuple[list[
 
 
 def _sweep_curve_task(args):
-    a, bound, depth = args
+    a, bound = args
     try:
-        return a, sweep_curve(a, bound, depth), None
+        return a, sweep_curve(a, bound), None
     except Exception as exc:  # pragma: no cover - defensive per-curve isolation
         return a, ([], []), f"a={a}: {exc!r}"
 
@@ -386,7 +384,6 @@ def sweep(
     a_max: int,
     search_bound: int = 100,
     workers: int | None = None,
-    oracle_depth: int = 6,
 ) -> SweepReport:
     """Search and certify all fourth-power-free a in [a_min, a_max].
 
@@ -405,7 +402,7 @@ def sweep(
             continue
         targets.append(a)
     report.curves_scanned = len(targets)
-    tasks = [(a, search_bound, oracle_depth) for a in targets]
+    tasks = [(a, search_bound) for a in targets]
     results = None
     if workers is None or workers > 1:
         try:

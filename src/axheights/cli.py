@@ -4,7 +4,8 @@ extremal generation and the oracle cross-check, with machine-readable output.
 Exit codes: 0 success, 2 argument/parse error, 3 non-minimal curve under
 --strict-minimal, 4 point not on curve, 5 a bound check failed,
 6 a bound check was inconclusive, 7 extremal row validation failed,
-8 no rational half exists, 9 oracle disagreement.
+8 no rational half exists, 9 oracle disagreement, 10 factoring gave up
+after its effort budget.
 
 Note on normalisation: the canonical height reported here is one-half of
 the value returned by PARI's ellheight (and by some tables); halve any
@@ -26,7 +27,7 @@ from .bounds import BoundCheck, SweepReport, _certify, sweep
 from .curve import Curve, Point
 from .errors import (
     AxHeightsError,
-    DepthExceeded,
+    FactorizationBudgetExceeded,
     NoRationalHalf,
     NotMinimal,
     NotOnCurve,
@@ -47,6 +48,16 @@ EXIT_INCONCLUSIVE = 6
 EXIT_ROW_INVALID = 7
 EXIT_NO_HALF = 8
 EXIT_ORACLE_MISMATCH = 9
+EXIT_FACTORING_BUDGET = 10
+
+#: exit code of each library error; any other AxHeightsError exits EXIT_USAGE
+_ERROR_EXITS = {
+    NotMinimal: EXIT_NOT_MINIMAL,
+    NotOnCurve: EXIT_NOT_ON_CURVE,
+    RowValidationFailed: EXIT_ROW_INVALID,
+    NoRationalHalf: EXIT_NO_HALF,
+    FactorizationBudgetExceeded: EXIT_FACTORING_BUDGET,
+}
 
 PARI_NOTE = (
     "canonical heights here are one-half of PARI's ellheight; halve external "
@@ -94,8 +105,7 @@ def cmd_classify(args) -> int:
     curve = Curve(args.a)
     if not curve.is_minimal:
         if args.strict_minimal:
-            print(f"error: a = {args.a} is not fourth-power-free", file=sys.stderr)
-            return EXIT_NOT_MINIMAL
+            raise NotMinimal(f"a = {args.a} is not fourth-power-free")
         minimal, s = curve.minimalize()
         print(
             f"warning: a = {args.a} is not fourth-power-free; "
@@ -307,14 +317,7 @@ def _extremal_candidate(family: str, param: int):
 
 
 def cmd_extremal(args) -> int:
-    try:
-        candidate = _extremal_candidate(args.family, args.param)
-    except RowValidationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ROW_INVALID
-    except NoRationalHalf as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_HALF
+    candidate = _extremal_candidate(args.family, args.param)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "extremal",
@@ -437,18 +440,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--depth must be in 1..{MAX_DOUBLINGS}")
     try:
         return args.func(args)
-    except NotMinimal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_MINIMAL
-    except NotOnCurve as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_ON_CURVE
-    except DepthExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except AxHeightsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _ERROR_EXITS.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -220,19 +220,19 @@ def z_value(curve: Curve, point: Point) -> float:
         except OverflowError:
             return math.inf
         return (1.0 - t2) ** 2
-    w = _translated_w(curve.a, x)
-    return _z_pos(w)
+    return _z_pos(_translated_start(curve.a, x)[1])
 
 
-def _translated_w(a: int, x: Fraction) -> float:
-    """w = sqrt(a)/(x + sqrt(a)) for a > 0, x >= 0, safe for huge x."""
+def _translated_start(a: int, x: Fraction) -> tuple[float, float]:
+    """(log u, w) with u = 1 + x/sqrt(a) and w = 1/u = sqrt(a)/(x + sqrt(a)),
+    for a > 0 and x >= 0; safe for huge x, where u is taken as x/sqrt(a)."""
     if x == 0:
-        return 1.0
+        return 0.0, 1.0
     lq = log_abs(x) - 0.5 * math.log(a)  # log of q = x/sqrt(a)
     if lq > 300.0:
-        return math.exp(-lq)
+        return lq, math.exp(-lq)
     q = math.exp(lq)
-    return 1.0 / (1.0 + q)
+    return math.log1p(q), 1.0 / (1.0 + q)
 
 
 def tail_bound(terms: int) -> float:
@@ -273,12 +273,7 @@ def lambda_archimedean(
         value = first + series - log_abs(curve.discriminant) / 12.0
     else:
         la = math.log(a)
-        lq = log_abs(x) - 0.5 * la
-        if lq > 300.0:
-            log_u0, w = lq, math.exp(-lq)
-        else:
-            q = math.exp(lq)
-            log_u0, w = math.log1p(q), 1.0 / (1.0 + q)
+        log_u0, w = _translated_start(a, x)
         first = 0.25 * la + 0.5 * log_u0 + 0.125 * math.log(_z_pos(w))
         series = 0.0
         weight = 0.125

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from axheights.arithmetic import is_fourth_power_free
+from axheights.arithmetic import is_fourth_power_free, isqrt_exact, squarefree_divisors
 from axheights.bounds import (
     certify_point,
     check_b2_bounds,
@@ -14,7 +14,7 @@ from axheights.bounds import (
     residue_group,
     sweep,
 )
-from axheights.curve import Curve, affine
+from axheights.curve import Curve, Point, affine
 from axheights.errors import NotMinimal
 
 LOG2 = math.log(2.0)
@@ -135,6 +135,51 @@ def test_find_points_recovers_small_multiples():
     xs = {p.x for p in find_points(curve, 100)}
     for n in range(1, 5):
         assert curve.multiply(n, gen).x in xs
+
+
+def _find_points_reference(curve, search_bound):
+    # an earlier search, kept as a reference: it tests the cubic form
+    # u^2 M^2 (u^2 M^4 + a e^4) = (u M N)^2 of the descent identity and
+    # deduplicates by x
+    sq_mod = frozenset((i * i) % 256 for i in range(256))
+    a = curve.a
+    found = {}
+    m2 = [m * m for m in range(search_bound + 1)]
+    m4 = [v * v for v in m2]
+    e4 = m4
+    units = [1, -1] if a < 0 else [1]
+    for u0 in squarefree_divisors(a):
+        for sign in units:
+            u = sign * u0
+            u2 = u * u
+            for e in range(1, search_bound + 1):
+                if math.gcd(u0, e) != 1:
+                    continue
+                ae4 = a * e4[e]
+                ee = e * e
+                e3 = e * ee
+                for m in range(1, search_bound + 1):
+                    if math.gcd(m, e) != 1:
+                        continue
+                    um2 = u * m2[m]
+                    target = um2 * (u2 * m4[m] + ae4)
+                    if target < 0 or (target & 255) not in sq_mod:
+                        continue
+                    root = isqrt_exact(target)
+                    if root is None:
+                        continue
+                    x = Fraction(um2, ee)
+                    if x not in found:
+                        found[x] = Point(x, Fraction(root, e3))
+    return [found[x] for x in sorted(found)]
+
+
+def test_find_points_matches_reference():
+    for a in range(-60, 61):
+        if a == 0 or not is_fourth_power_free(a):
+            continue
+        curve = Curve(a)
+        assert find_points(curve, 40) == _find_points_reference(curve, 40), a
 
 
 def test_find_points_only_torsion_on_a2():

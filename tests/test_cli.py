@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from axheights import cli
 from axheights.cli import main
+from axheights.errors import FactorizationBudgetExceeded
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -26,8 +31,10 @@ def test_classify_single_prime_json(capsys):
 
 
 def test_classify_strict_minimal(capsys):
-    code, _, err = run(capsys, "classify", "--a", "48", "--strict-minimal")
+    code, out, err = run(capsys, "classify", "--a", "48", "--strict-minimal")
     assert code == 3
+    assert out == ""
+    assert err == "error: a = 48 is not fourth-power-free\n"
     code, out, err = run(capsys, "classify", "--a", "48")
     assert code == 0
     assert "minimal model a = 3" in err
@@ -75,6 +82,23 @@ def test_malformed_rational_exits_2(capsys):
         main(["height", "--a", "3", "--x", "0.5", "--y", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # a library error with no exit code of its own is a usage error too
+    code, out, err = run(capsys, "height", "--a", "0", "--x", "1", "--y", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: a must be nonzero (a = 0 is singular for heights)\n"
+
+
+def test_factoring_budget_exits_10(capsys, monkeypatch):
+    # a real trigger (a 240-digit semiprime a) takes tens of seconds
+    def give_up(curve, point):
+        raise FactorizationBudgetExceeded(f"gave up factoring {curve.a}")
+
+    monkeypatch.setattr(cli, "canonical_height", give_up)
+    code, out, err = run(capsys, "height", "--a", "3", "--x", "1", "--y", "2")
+    assert code == 10
+    assert out == ""
+    assert err == "error: gave up factoring 3\n"
 
 
 def test_verify_passes(capsys):
@@ -108,11 +132,20 @@ def test_extremal_commands(capsys):
     doc = json.loads(out)
     assert doc["a"] == -6003725 and doc["x"] == "5915"
 
-    code, _, _ = run(capsys, "extremal", "--family", "lang-pos-1", "--param", "1")
+    code, out, err = run(capsys, "extremal", "--family", "lang-pos-1", "--param", "1")
     assert code == 7
+    assert out == ""
+    assert err == (
+        "error: lang-pos-1(a1=1): candidate x = 9265 on a = 1378493025 has no "
+        "rational y; re-derive the row in two steps: pick the small square target "
+        "x(2P) for this residue class of a mod 16, then solve the halving "
+        "quadratics for x(P)\n"
+    )
 
-    code, _, _ = run(capsys, "extremal", "--family", "lang-neg-4", "--param", "3")
+    code, out, err = run(capsys, "extremal", "--family", "lang-neg-4", "--param", "3")
     assert code == 8
+    assert out == ""
+    assert err == "error: lang-neg-4(n=3): 2*5^2 - z^2 = +-4 has no integer solution\n"
 
 
 def test_extremal_certify(capsys):
@@ -142,6 +175,22 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
         "--workers", "1", "--out", str(out_path),
     )
     assert out_path.read_text() == text1
+
+
+@pytest.mark.parametrize(
+    "workers, suffix", [("1", "json"), ("2", "json"), ("1", "csv")]
+)
+def test_sweep_output_bytes_frozen(tmp_path, capsys, workers, suffix):
+    # the committed reports are the reference output: a change to any byte
+    # of a sweep report, or a dependence on the worker count, fails here;
+    # regenerate them only for a deliberate, documented output change
+    out_path = tmp_path / f"r.{suffix}"
+    code, _, _ = run(
+        capsys, "sweep", "--amin", "-20", "--amax", "20", "--search-bound", "30",
+        "--workers", workers, "--out", str(out_path),
+    )
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / f"sweep_m20_20_b30.{suffix}").read_bytes()
 
 
 def test_sweep_json_summary(capsys):
