@@ -217,14 +217,6 @@ def legendre_symbol(n: int, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of ``|n|``, ascending."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def squarefree_divisors(n: int) -> list[int]:
     """Positive squarefree divisors of ``|n|``, ascending."""
     out = [1]

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .arithmetic import (
     fourth_power_free_part,
     is_fourth_power_free,
-    is_rational_square,
     isqrt_exact,
     ord_p,
     squarefree_divisors,
@@ -350,9 +349,8 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
             )
             continue
         checks, bd = _certify(curve, point)
-        identity_ok, _ = nonarch_sum_identity(curve, point)
-        x2p = curve.double(point).x
-        square_ok = x2p >= 0 and is_rational_square(x2p) is not None
+        # the identity answers (False, {}) exactly when x(2P) is not a square
+        identity_ok, residues = nonarch_sum_identity(curve, point)
         gap = abs(bd.canonical - limit_oracle(curve, point, ORACLE_DEPTH))
         rows.append(
             SweepRow(
@@ -364,7 +362,7 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
                 difference=bd.difference,
                 checks=tuple(checks),
                 sum_identity_ok=identity_ok,
-                x2p_square_ok=square_ok,
+                x2p_square_ok=bool(residues),
                 oracle_gap=gap,
             )
         )

@@ -113,7 +113,7 @@ def cmd_classify(args) -> int:
             file=sys.stderr,
         )
         curve = minimal
-    primes = [args.prime] if args.prime else bad_primes(curve)
+    primes = [args.prime] if args.prime is not None else bad_primes(curve)
     rows = [classify_reduction(curve, p) for p in primes]
     if args.json:
         doc = {
@@ -302,18 +302,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+#: the kind family_diff builds for each difference family name
+_DIFF_FAMILIES = {"diff-lower-pos": "lower_pos", "diff-lower-neg": "lower_neg",
+                  "diff-upper": "upper"}
+
+
 def _extremal_candidate(family: str, param: int):
-    if family.startswith("lang-pos-"):
-        return family_lang_pos(int(family.rsplit("-", 1)[1]), param)
-    if family.startswith("lang-neg-"):
-        return family_lang_neg(int(family.rsplit("-", 1)[1]), param)
-    if family == "diff-lower-pos":
-        return family_diff("lower_pos", param)
-    if family == "diff-lower-neg":
-        return family_diff("lower_neg", param)
-    if family == "diff-upper":
-        return family_diff("upper", param)
-    raise argparse.ArgumentTypeError(f"unknown family {family!r}")
+    prefix, _, residue = family.rpartition("-")
+    if prefix in ("lang-pos", "lang-neg") and residue.isdecimal():
+        build = family_lang_pos if prefix == "lang-pos" else family_lang_neg
+        return build(int(residue), param)
+    if family in _DIFF_FAMILIES:
+        return family_diff(_DIFF_FAMILIES[family], param)
+    raise AxHeightsError(f"unknown family {family!r}")
 
 
 def cmd_extremal(args) -> int:
@@ -426,9 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
 _CONFIG_DEFAULTS = {"depth": 6, "tolerance": 1e-5, "search_bound": 100, "workers": None}
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Write "--x -7/8" as "--x=-7/8": argparse reads a value that starts
+    with "-" as an option unless it looks like -N or -N.M."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--x", "--y") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         config = _load_config(args.config)
     except (OSError, json.JSONDecodeError) as exc:

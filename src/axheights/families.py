@@ -44,16 +44,6 @@ def pell_d(n: int) -> int:
     return a
 
 
-def pell_c_certificate(c: int) -> int | None:
-    """z with c^2 - 2 z^2 = +-1, when one exists."""
-    for target in (c * c - 1, c * c + 1):
-        if target % 2 == 0:
-            z = isqrt_exact(target // 2)
-            if z is not None:
-                return z
-    return None
-
-
 def pell_d_certificate(d: int) -> int | None:
     """z with 2 d^2 - z^2 = +-4, when one exists."""
     for target in (2 * d * d - 4, 2 * d * d + 4):

@@ -184,8 +184,12 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
                              - (1/2) log 2 * [a = 4 mod 16 and ord_2(x(2P)) > 0]
 
     where x(2P) = alpha^2/delta^2 in lowest terms.  Both sides are compared
-    prime by prime as exact rational coefficients of log p; returns the
-    overall verdict and the per-prime residues (all zero on success).
+    prime by prime as exact rational coefficients of log p.  Returns
+    (False, {}) exactly when x(2P) is not a rational square; otherwise the
+    verdict and the residues at the primes dividing 2a (all zero on
+    success).  At a prime p not dividing 2a both sides are ord_p(delta):
+    lambda_p(2P) is (1/2) max(0, -ord_p x(2P)) = ord_p(delta) there, with
+    ord_p(disc) = 0 and no correction, so delta is never factored.
     """
     if not curve.is_minimal:
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
@@ -193,16 +197,13 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
         raise TorsionPoint(f"{point} is torsion")
     two_p = curve.double(point)
     x2 = two_p.x
-    delta = is_rational_square(Fraction(x2.denominator))
-    if delta is None or is_rational_square(x2) is None:
+    root = is_rational_square(x2)
+    if root is None:
         return False, {}
-    delta = int(delta)
+    delta = root.denominator
     indicator = curve.a % 16 == 4 and x2 != 0 and ord_int(x2.numerator, 2) > 0
-    primes = set(bad_primes(curve))
-    if delta > 1:
-        primes |= set(factorize(delta))
     residues: dict[int, Fraction] = {}
-    for p in sorted(primes):
+    for p in bad_primes(curve):
         lhs = lambda_nonarch(curve, two_p, p).coefficient
         rhs = Fraction(ord_int(delta, p)) + Fraction(ord_int(curve.discriminant, p), 12)
         if p == 2 and indicator:

@@ -80,13 +80,14 @@ def classify_reduction(curve: Curve, p: int) -> ReductionData:
 
     This is a closed-form lookup, not a general Tate's-algorithm engine;
     the trace records which Tate step decides the type, for auditing.
+    A p that is not prime raises NotPrime (from ord_p).
     """
     if not curve.is_minimal:
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
     a = curve.a
     if p == 2:
         return _classify_two(a)
-    e = ord_int(a, p)
+    e = ord_p(a, p)
     ord_delta = 3 * e
     if e == 0:
         return ReductionData(p, "I0", 1, 0, 1, "step 1: good reduction")
@@ -240,17 +241,14 @@ def tail_bound(terms: int) -> float:
     return math.log(4.0) / (24.0 * 4.0**terms)
 
 
-def lambda_archimedean(
-    curve: Curve, point: Point, terms: int = DEFAULT_TERMS
-) -> ArchHeightValue:
+def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
     """Archimedean local height by the truncated Tate series.
 
-    Sums the terms k = 0..terms; the remainder is below tail_bound(terms).
-    Exact rationals enter only through log of (x^2 - a) and of x, taken
-    with big-integer logs, so huge coordinates never overflow.
+    Sums the terms k = 0..DEFAULT_TERMS; the remainder is below
+    tail_bound(DEFAULT_TERMS).  Exact rationals enter only through log of
+    (x^2 - a) and of x, taken with big-integer logs, so huge coordinates
+    never overflow.
     """
-    if terms < 1:
-        raise ValueError("terms must be a positive integer")
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is a torsion point")
     a = curve.a
@@ -264,7 +262,7 @@ def lambda_archimedean(
         t = math.exp(0.5 * math.log(-a) - log_abs(x2))
         series = 0.0
         weight = 0.25
-        for _ in range(terms):
+        for _ in range(DEFAULT_TERMS):
             weight *= 0.25
             if t == 0.0:
                 break
@@ -277,11 +275,11 @@ def lambda_archimedean(
         first = 0.25 * la + 0.5 * log_u0 + 0.125 * math.log(_z_pos(w))
         series = 0.0
         weight = 0.125
-        for _ in range(terms):
+        for _ in range(DEFAULT_TERMS):
             weight *= 0.25
             w = _step_pos(w)
             if w == 0.0:
                 break
             series += weight * math.log(_z_pos(w))
         value = first + series - log_abs(curve.discriminant) / 12.0
-    return ArchHeightValue(value=value, tail_bound=tail_bound(terms), terms_used=terms)
+    return ArchHeightValue(value, tail_bound(DEFAULT_TERMS), DEFAULT_TERMS)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from axheights.arithmetic import (
-    divisors,
     factorize,
     fourth_power_free_part,
     is_fourth_power_free,
@@ -158,7 +157,6 @@ def test_factorize_budget_gives_up():
 
 
 def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert squarefree_divisors(12) == [1, 2, 3, 6]
     assert squarefree_divisors(-50) == [1, 2, 5, 10]
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -14,6 +16,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _frozen_run(argv: list[str]) -> dict:
+    """argv with its exit code, stdout and stderr, timing lines left out."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stderr = "".join(
+        line for line in err.getvalue().splitlines(True) if not line.startswith("timing:")
+    )
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": stderr}
 
 
 def test_classify_table(capsys):
@@ -39,6 +52,17 @@ def test_classify_strict_minimal(capsys):
     assert code == 0
     assert "minimal model a = 3" in err
 
+
+
+def test_classify_rejects_non_prime(capsys):
+    for prime in ("1", "0", "4", "-3"):
+        code, out, err = run(capsys, "classify", "--a", "12", "--prime", prime)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {prime} is not prime\n"
+    code, out, _ = run(capsys, "classify", "--a", "12", "--prime", "5")
+    assert code == 0
+    assert "I0" in out
 
 def test_height_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "height", "--a", "3", "--x", "1", "--y", "2", "--json")
@@ -76,6 +100,14 @@ def test_verify_json_extends_height_json(capsys):
     assert len(verify.pop("checks")) == 6
     assert verify == height
 
+
+
+def test_negative_fraction_coordinates(capsys):
+    code, spaced, _ = run(capsys, "height", "--a", "3", "--x", "1/4", "--y", "-7/8", "--json")
+    assert code == 0
+    code, joined, _ = run(capsys, "height", "--a", "3", "--x", "1/4", "--y=-7/8", "--json")
+    assert code == 0
+    assert spaced == joined
 
 def test_malformed_rational_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -148,6 +180,14 @@ def test_extremal_commands(capsys):
     assert err == "error: lang-neg-4(n=3): 2*5^2 - z^2 = +-4 has no integer solution\n"
 
 
+
+def test_extremal_unknown_family(capsys):
+    for family in ("bogus", "lang-pos-x"):
+        code, out, err = run(capsys, "extremal", "--family", family, "--param", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown family {family!r}\n"
+
 def test_extremal_certify(capsys):
     code, out, _ = run(
         capsys, "extremal", "--family", "lang-pos-4", "--param", "1", "--certify"
@@ -208,3 +248,17 @@ def test_help_mentions_normalisation(capsys):
         main(["--help"])
     out = capsys.readouterr().out
     assert "ellheight" in out
+
+
+def test_cli_output_bytes_frozen():
+    # single-point commands replayed against their committed output; like the
+    # sweep reports, rewrite the file (run this module as a script) only for
+    # a deliberate, documented output change
+    for record in json.loads((DATA / "cli_frozen.json").read_text()):
+        assert _frozen_run(record["argv"]) == record, record["argv"]
+
+
+if __name__ == "__main__":
+    path = DATA / "cli_frozen.json"
+    records = [_frozen_run(r["argv"]) for r in json.loads(path.read_text())]
+    path.write_text(json.dumps(records, indent=2) + "\n")

@@ -11,7 +11,6 @@ from axheights.families import (
     family_lang_pos,
     halve_point,
     pell_c,
-    pell_c_certificate,
     pell_d,
     pell_d_certificate,
 )
@@ -25,12 +24,6 @@ def test_pell_sequences():
 
 
 def test_pell_certificates():
-    # c_n^2 - 2 z^2 = +-1 always has an integer witness
-    for n in range(1, 20):
-        c = pell_c(n)
-        z = pell_c_certificate(c)
-        assert z is not None
-        assert c * c - 2 * z * z in (1, -1)
     # 2 d^2 - z^2 = +-4 is solvable exactly when the halving works
     assert pell_d_certificate(2) == 2
     assert pell_d_certificate(5) is None
@@ -147,7 +140,7 @@ def test_family_lang_neg_large_index_rows():
     from axheights.local_heights import lambda_archimedean
 
     cand = family_lang_neg(1, 0)
-    lam = lambda_archimedean(Curve(cand.a), cand.point, terms=40)
+    lam = lambda_archimedean(Curve(cand.a), cand.point)
     assert math.isfinite(lam.value)
 
 

@@ -12,6 +12,7 @@ from axheights.heights import (
     naive_height,
     nonarch_sum_identity,
 )
+from axheights.local_heights import bad_primes
 
 
 @pytest.mark.parametrize(
@@ -157,13 +158,28 @@ def test_denominator_sequence_matches_multiples():
 
 
 def test_sum_identity_examples():
-    ok, residues = nonarch_sum_identity(Curve(3), affine(1, 2))
+    # the residues are keyed by the primes dividing 2a, and only by them
+    curve = Curve(3)
+    ok, residues = nonarch_sum_identity(curve, affine(1, 2))
     assert ok and all(v == 0 for v in residues.values())
-    ok, _ = nonarch_sum_identity(Curve(-5), affine(5, 10))
+    assert sorted(residues) == bad_primes(curve)
+    curve = Curve(-5)
+    ok, residues = nonarch_sum_identity(curve, affine(5, 10))
     assert ok
+    assert sorted(residues) == bad_primes(curve)
     # a = 4 mod 16 branch with ord_2(x(2P)) > 0
-    ok, _ = nonarch_sum_identity(Curve(56628), affine(198, 4356))
+    curve = Curve(56628)
+    ok, residues = nonarch_sum_identity(curve, affine(198, 4356))
     assert ok
+    assert sorted(residues) == bad_primes(curve)
+
+
+def test_sum_identity_needs_no_factoring():
+    # x(20P) = alpha^2/delta^2 with a 102-digit delta; the identity says
+    # nothing at the primes dividing delta, so it must not factor delta
+    curve = Curve(-17)
+    point = curve.multiply(10, affine(-1, 4))
+    assert nonarch_sum_identity(curve, point) == (True, {2: 0, 17: 0})
 
 
 def test_huge_point_uses_bulk_denominator():

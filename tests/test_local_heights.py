@@ -154,15 +154,16 @@ _ARCH_REFERENCE = [
 
 @pytest.mark.parametrize("a,point,reference", _ARCH_REFERENCE)
 def test_lambda_archimedean_reference_values(a, point, reference):
-    got = lambda_archimedean(Curve(a), affine(*point), terms=40)
+    got = lambda_archimedean(Curve(a), affine(*point))
     assert abs(got.value - reference) < 1e-12
     assert got.terms_used == 40
 
 
 def test_lambda_archimedean_tail_bound():
-    got = lambda_archimedean(Curve(3), affine(1, 2), terms=30)
-    assert got.tail_bound <= math.log(4) / (24 * 4**30)
-    assert got.tail_bound < 1e-18
+    got = lambda_archimedean(Curve(3), affine(1, 2))
+    assert got.tail_bound == tail_bound(40)
+    assert tail_bound(30) <= math.log(4) / (24 * 4**30)
+    assert tail_bound(30) < 1e-18
     assert tail_bound(40) < 1e-22
 
 
@@ -181,7 +182,7 @@ def test_lambda_archimedean_vs_limit_oracle():
     finite = sum(
         lambda_nonarch(curve, point, p).value for p in (2,)
     )
-    got = lambda_archimedean(curve, point, terms=40).value
+    got = lambda_archimedean(curve, point).value
     # the limit itself carries O(4^-8) truncation error; see the frozen
     # reference values above for the tight check
     assert abs(got - (hhat - finite)) < 1e-4
