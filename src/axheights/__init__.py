@@ -28,12 +28,9 @@ from .bounds import (
 from .curve import (
     INFINITY,
     Curve,
-    DescentForm,
     Point,
     TorsionStructure,
     affine,
-    alpha,
-    descent_form,
 )
 from .errors import (
     AxHeightsError,
@@ -81,14 +78,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxHeightsError", "ArchHeightValue", "BoundCheck", "Curve", "DenominatorRecord",
-    "DepthExceeded", "DescentForm", "DiffBounds", "ExtremalCandidate",
+    "DepthExceeded", "DiffBounds", "ExtremalCandidate",
     "HeightBreakdown", "INFINITY", "InfinityPoint", "LangBound",
     "NoRationalHalf", "NonArchLocalHeight", "NotMinimal", "NotOddPrime",
     "NotOnCurve", "NotPrime", "Point", "ReductionData", "RowValidationFailed",
     "SweepReport", "TorsionPoint", "TorsionStructure", "ZeroInput", "ZeroX",
-    "affine", "alpha", "canonical_height", "certify_point", "check_b2_bounds",
+    "affine", "canonical_height", "certify_point", "check_b2_bounds",
     "classify_reduction", "corollary_bound", "denominator_sequence",
-    "descent_form", "diff_bounds", "family_diff", "family_lang_neg",
+    "diff_bounds", "family_diff", "family_lang_neg",
     "family_lang_pos", "find_points", "fourth_power_free_part", "halve_point",
     "is_rational_square", "lambda_archimedean", "lambda_nonarch",
     "lang_lower_bound", "legendre_symbol", "limit_oracle", "naive_height",

@@ -29,7 +29,6 @@ from .heights import (
     _to_minimal,
     canonical_height,
     denominator_sequence,
-    limit_oracle,
     nonarch_sum_identity,
 )
 
@@ -239,11 +238,10 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
 
     Every affine point with x != 0 is (b1*M^2/e^2, b1*M*N/e^3) with
     a = b1*b2, b1 squarefree, gcd(M, e) = gcd(b1, e) = 1 and
-    N^2 = b1*M^4 + b2*e^4 (see DescentForm).  b1 runs over the signed
-    squarefree divisors of a and M, e up to the bound, so the search is
-    exhaustive up to the box; x is then in lowest terms, so no x is found
-    twice.  Returns nontorsion and torsion points alike, with y >= 0,
-    sorted by x.
+    N^2 = b1*M^4 + b2*e^4.  b1 runs over the signed squarefree divisors of
+    a and M, e up to the bound, so the search is exhaustive up to the box;
+    x is then in lowest terms, so no x is found twice.  Returns nontorsion
+    and torsion points alike, with y >= 0, sorted by x.
     """
     a = curve.a
     found: list[Point] = []
@@ -269,10 +267,6 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
     return found
 
 
-#: doublings of the limit-definition oracle each sweep row is compared with
-ORACLE_DEPTH = 6
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One certified point in a sweep report."""
@@ -286,7 +280,6 @@ class SweepRow:
     checks: tuple[BoundCheck, ...]
     sum_identity_ok: bool
     x2p_square_ok: bool
-    oracle_gap: float
 
     @property
     def all_pass(self) -> bool:
@@ -342,16 +335,14 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
     rows: list[SweepRow] = []
     torsion_rows: list[dict] = []
     for point in find_points(curve, search_bound):
-        if curve.is_torsion(point):
-            bd = canonical_height(curve, point)
+        checks, bd = _certify(curve, point)
+        if bd.is_torsion:
             torsion_rows.append(
                 {"a": a, "x": str(point.x), "y": str(point.y), "difference": bd.difference}
             )
             continue
-        checks, bd = _certify(curve, point)
         # the identity answers (False, {}) exactly when x(2P) is not a square
         identity_ok, residues = nonarch_sum_identity(curve, point)
-        gap = abs(bd.canonical - limit_oracle(curve, point, ORACLE_DEPTH))
         rows.append(
             SweepRow(
                 a=a,
@@ -363,7 +354,6 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
                 checks=tuple(checks),
                 sum_identity_ok=identity_ok,
                 x2p_square_ok=bool(residues),
-                oracle_gap=gap,
             )
         )
     return rows, torsion_rows
@@ -372,9 +362,9 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
 def _sweep_curve_task(args):
     a, bound = args
     try:
-        return a, sweep_curve(a, bound), None
+        return sweep_curve(a, bound), None
     except Exception as exc:  # pragma: no cover - defensive per-curve isolation
-        return a, ([], []), f"a={a}: {exc!r}"
+        return ([], []), f"a={a}: {exc!r}"
 
 
 def sweep(
@@ -387,8 +377,10 @@ def sweep(
 
     Non-fourth-power-free a are skipped (their minimal models are already
     in range or will be swept at their own a).  Independent curve tasks may
-    run across processes; rows are merged in sorted order so the worker
-    count never changes the output.
+    run across processes.  Rows need no sorting: curves come back in task
+    order, which is ascending a, from pool.map and from the serial loop
+    alike, and find_points returns each curve's points sorted by x; so the
+    worker count never changes the output.
     """
     report = SweepReport(a_min=a_min, a_max=a_max, search_bound=search_bound)
     targets = []
@@ -411,11 +403,9 @@ def sweep(
             results = None
     if results is None:
         results = [_sweep_curve_task(t) for t in tasks]
-    for _, (rows, torsion_rows), failure in sorted(results, key=lambda r: r[0]):
+    for (rows, torsion_rows), failure in results:
         report.rows.extend(rows)
         report.torsion_rows.extend(torsion_rows)
         if failure:
             report.failures.append(failure)
-    report.rows.sort(key=lambda r: (r.a, Fraction(r.x)))
-    report.torsion_rows.sort(key=lambda r: (r["a"], Fraction(r["x"])))
     return report

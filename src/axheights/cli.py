@@ -95,10 +95,21 @@ def _point(args) -> Point:
 
 
 def _load_config(path: str | None) -> dict:
+    """The JSON object at path; each key must be one of _CONFIG_DEFAULTS and
+    each value one that the matching flag accepts, else ValueError."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError("not a JSON object")
+    for key, value in config.items():
+        if key not in _CONFIG_DEFAULTS:
+            raise ValueError(f"unknown key {key!r}")
+        kind, types = _CONFIG_TYPES[key]
+        if type(value) not in types:
+            raise ValueError(f"{key} = {json.dumps(value)} is not {kind}")
+    return config
 
 
 def cmd_classify(args) -> int:
@@ -425,6 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_DEFAULTS = {"depth": 6, "tolerance": 1e-5, "search_bound": 100, "workers": None}
+#: the JSON values each config key takes, as its flag's type would take them
+#: (a JSON true is no integer and "6" is no number)
+_CONFIG_TYPES = {
+    "depth": ("an integer", (int,)),
+    "tolerance": ("a number", (int, float)),
+    "search_bound": ("an integer", (int,)),
+    "workers": ("an integer or null", (int, type(None))),
+}
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
@@ -446,6 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config: {exc}")
+    except ValueError as exc:
+        parser.error(f"invalid config: {exc}")
     for key, default in _CONFIG_DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, config.get(key, default))

@@ -1,21 +1,13 @@
-"""The curve family y^2 = x^3 + a*x: exact point arithmetic, torsion,
-the square-class map and the descent shape of a rational point."""
+"""The curve family y^2 = x^3 + a*x: exact point arithmetic and torsion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .arithmetic import (
-    factorize,
-    fourth_power_free_part,
-    isqrt_exact,
-    ord_int,
-    squarefree_decompose,
-)
-from .errors import NotMinimal, NotOnCurve, ZeroInput, ZeroX
+from .arithmetic import fourth_power_free_part, isqrt_exact
+from .errors import NotOnCurve, ZeroInput
 
 
 @dataclass(frozen=True)
@@ -54,17 +46,6 @@ class TorsionStructure:
 
     kind: str
     points: tuple[Point, ...]
-
-
-@dataclass(frozen=True)
-class DescentForm:
-    """P = (b1*M^2/e^2, b1*M*N/e^3) with a = b1*b2 and N^2 = b1*M^4 + b2*e^4."""
-
-    b1: int
-    b2: int
-    M: int
-    N: int
-    e: int
 
 
 @dataclass(frozen=True)
@@ -187,60 +168,3 @@ def x_after_doubling(a: int, x: Fraction) -> Fraction:
     """x(2P) = (x^2 - a)^2 / (4(x^3 + a x)), the x-only duplication map."""
     return (x * x - a) ** 2 / (4 * (x**3 + a * x))
 
-
-def alpha(curve: Curve, point: Point) -> int:
-    """Square class of x(P) in Q*/Q*^2, as a squarefree integer.
-
-    alpha(O) = 1 and alpha((0,0)) is the squarefree part of a; this map is a
-    homomorphism, which is what forces x(2P) to be a rational square.
-    """
-    curve._require(point)
-    if point.is_infinity:
-        return 1
-    if point.x == 0:
-        return squarefree_decompose(curve.a)[0]
-    return squarefree_decompose(point.x.numerator * point.x.denominator)[0]
-
-
-def descent_form(curve: Curve, point: Point) -> DescentForm:
-    """Recover (b1, b2, M, N, e) for an affine point with x != 0.
-
-    e is the square root of the denominator of x (minimality guarantees the
-    denominators are e^2, e^3); b1 collects, prime by prime, the full power
-    of p from the numerator when it fits inside a, and ord_p(a) otherwise,
-    so that gcd(b2, M) = 1.  Any failure of the lowest-terms gcd shape
-    raises NotMinimal.
-    """
-    if not curve.is_minimal:
-        raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
-    curve._require(point)
-    if point.is_infinity or point.x == 0:
-        raise ZeroX("descent form needs an affine point with x != 0")
-    x, y = point.x, point.y
-    e = isqrt_exact(x.denominator)
-    if e is None or y.denominator != e**3:
-        raise NotMinimal(f"denominators of {point} are not of the shape e^2, e^3")
-    m = x.numerator
-    b1 = 1 if m > 0 else -1
-    for p, mu in factorize(m).items():
-        alpha_p = ord_int(curve.a, p)
-        eps = mu if mu <= alpha_p else alpha_p
-        if eps % 2 != mu % 2:
-            raise NotMinimal(f"numerator power of {p} in x has no valid split")
-        b1 *= p**eps
-    M = isqrt_exact(m // b1)
-    if M is None:
-        raise NotMinimal("numerator of x is not b1 * M^2")
-    if curve.a % b1 != 0:
-        raise NotMinimal("b1 does not divide a")
-    b2 = curve.a // b1
-    N_frac = y / Fraction(b1 * M, e**3)
-    if N_frac.denominator != 1:
-        raise NotMinimal("y is not of the shape b1*M*N/e^3")
-    N = N_frac.numerator
-    if N * N != b1 * M**4 + b2 * e**4:
-        raise NotMinimal("descent identity N^2 = b1*M^4 + b2*e^4 failed")
-    for u, v in ((b1, e), (b2, M), (e, M), (M, N), (e, N)):
-        if gcd(u, v) != 1:
-            raise NotMinimal(f"gcd condition failed on ({u}, {v})")
-    return DescentForm(b1=b1, b2=b2, M=M, N=N, e=e)

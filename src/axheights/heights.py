@@ -5,7 +5,8 @@ The canonical height is assembled from local heights: the truncated Tate
 series at the archimedean place plus exact rational multiples of log(p) at
 the finite places.  The limit oracle recomputes it independently from the
 definition (1/2) lim h(2^n P) / 4^n in exact arithmetic, and is the main
-cross-check for the decomposition path.
+cross-check for the decomposition path; the oracle command, the tests and
+the benchmark run it, the sweep does not.
 """
 
 from __future__ import annotations

@@ -29,6 +29,14 @@ def _frozen_run(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": stderr}
 
 
+def _frozen_sweep_argv(workers: str, out_path) -> list[str]:
+    """The sweep whose report is committed as tests/data/sweep_m20_20_b30.*"""
+    return [
+        "sweep", "--amin", "-20", "--amax", "20", "--search-bound", "30",
+        "--workers", workers, "--out", str(out_path),
+    ]
+
+
 def test_classify_table(capsys):
     code, out, _ = run(capsys, "classify", "--a", "12")
     assert code == 0
@@ -158,6 +166,37 @@ def test_oracle_depth_cap(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"search_bound": 2.5}, ["sweep", "--amin", "1", "--amax", "3", "--workers", "1"]),
+        ([1, 2], ["sweep", "--amin", "1", "--amax", "3", "--workers", "1"]),
+        ({"depth": "6"}, ["oracle", "--a", "3", "--x", "1", "--y", "2"]),
+        ({"dept": 6}, ["oracle", "--a", "3", "--x", "1", "--y", "2"]),
+    ],
+)
+def test_invalid_config_exits_2(tmp_path, capsys, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid config" in err
+
+
+def test_config_matches_flag(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"depth": 8}))
+    point = ("oracle", "--a", "3", "--x", "1", "--y", "2")
+    code, from_config, _ = run(capsys, "--config", str(path), *point)
+    assert code == 0
+    code, from_flag, _ = run(capsys, *point, "--depth", "8")
+    assert code == 0
+    assert from_config == from_flag
+
+
 def test_extremal_commands(capsys):
     code, out, _ = run(capsys, "extremal", "--family", "lang-neg-3", "--param", "0")
     assert code == 0
@@ -223,12 +262,10 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
 def test_sweep_output_bytes_frozen(tmp_path, capsys, workers, suffix):
     # the committed reports are the reference output: a change to any byte
     # of a sweep report, or a dependence on the worker count, fails here;
-    # regenerate them only for a deliberate, documented output change
+    # regenerate them (run this module as a script) only for a deliberate,
+    # documented output change
     out_path = tmp_path / f"r.{suffix}"
-    code, _, _ = run(
-        capsys, "sweep", "--amin", "-20", "--amax", "20", "--search-bound", "30",
-        "--workers", workers, "--out", str(out_path),
-    )
+    code, _, _ = run(capsys, *_frozen_sweep_argv(workers, out_path))
     assert code == 0
     assert out_path.read_bytes() == (DATA / f"sweep_m20_20_b30.{suffix}").read_bytes()
 
@@ -251,14 +288,18 @@ def test_help_mentions_normalisation(capsys):
 
 
 def test_cli_output_bytes_frozen():
-    # single-point commands replayed against their committed output; like the
-    # sweep reports, rewrite the file (run this module as a script) only for
-    # a deliberate, documented output change
+    # single-point commands replayed against their committed output; rewrite
+    # it and the sweep reports (run this module as a script) only for a
+    # deliberate, documented output change
     for record in json.loads((DATA / "cli_frozen.json").read_text()):
         assert _frozen_run(record["argv"]) == record, record["argv"]
 
 
 if __name__ == "__main__":
+    # rewrites every frozen data file from the argv its test replays
     path = DATA / "cli_frozen.json"
     records = [_frozen_run(r["argv"]) for r in json.loads(path.read_text())]
     path.write_text(json.dumps(records, indent=2) + "\n")
+    for suffix in ("json", "csv"):
+        if main(_frozen_sweep_argv("1", DATA / f"sweep_m20_20_b30.{suffix}")) != 0:
+            raise SystemExit(f"the sweep for sweep_m20_20_b30.{suffix} did not exit 0")

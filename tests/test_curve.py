@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from axheights.arithmetic import is_rational_square, squarefree_decompose
-from axheights.curve import INFINITY, Curve, affine, alpha, descent_form
-from axheights.errors import NotOnCurve, ZeroInput, ZeroX
+from axheights.curve import INFINITY, Curve, affine
+from axheights.errors import NotOnCurve, ZeroInput
 
 
 def test_on_curve_examples():
@@ -125,66 +125,16 @@ def test_square_class_parity():
                 assert is_rational_square(q.x / u) is not None
 
 
-def test_alpha_examples_and_homomorphism():
-    assert alpha(Curve(5), affine(0, 0)) == 5
-    assert alpha(Curve(3), affine(1, 2)) == 1
-    assert alpha(Curve(3), affine(Fraction(1, 4), Fraction(-7, 8))) == 1
-    assert alpha(Curve(3), INFINITY) == 1
-    for a, gen in ((3, affine(1, 2)), (-5, affine(5, 10))):
-        c = Curve(a)
-        pts = [c.multiply(n, gen) for n in range(1, 5)]
-        for p in pts:
-            for q in pts:
-                s = c.add(p, q)
-                prod = alpha(c, s) * alpha(c, p) * alpha(c, q)
-                assert is_rational_square(Fraction(prod)) is not None
-
-
-def test_descent_form_examples():
-    d = descent_form(Curve(3), affine(1, 2))
-    assert (d.b1, d.b2, d.M, d.e) == (1, 3, 1, 1)
-    assert d.N * d.N == d.b1 * d.M**4 + d.b2 * d.e**4 == 4
-
-    d = descent_form(Curve(-2), affine(-1, 1))
-    assert (d.b1, d.b2, d.M, d.e) == (-1, 2, 1, 1)
-    assert d.N * d.N == 1
-
-    d = descent_form(Curve(3), affine(Fraction(1, 4), Fraction(-7, 8)))
-    assert (d.b1, d.b2, d.M, d.e) == (1, 3, 1, 2)
-    assert d.N == -7
-    assert d.N * d.N == d.b1 * d.M**4 + d.b2 * d.e**4 == 49
-
-
-def test_descent_form_reconstructs_point():
-    rng = random.Random(5)
-    for a, gen in ((3, affine(1, 2)), (-2, affine(-1, 1)), (-5, affine(-1, 2))):
-        c = Curve(a)
-        for n in (1, 2, 3, 4):
-            p = c.multiply(n, gen)
-            if p.is_infinity or p.x == 0:
-                continue
-            d = descent_form(c, p)
-            assert Fraction(d.b1 * d.M * d.M, d.e * d.e) == p.x
-            assert Fraction(d.b1 * d.M * d.N, d.e**3) == p.y
-            assert d.N * d.N == d.b1 * d.M**4 + d.b2 * d.e**4
-
-
-def test_descent_form_errors():
-    with pytest.raises(ZeroX):
-        descent_form(Curve(4), affine(0, 0))
-    from axheights.errors import NotMinimal
-
-    with pytest.raises(NotMinimal):
-        descent_form(Curve(48), affine(4, 16))
-
-
-def test_alpha_requires_curve_point():
-    with pytest.raises(NotOnCurve):
-        alpha(Curve(3), affine(1, 3))
-
-
 def test_minimalize():
     minimal, s = Curve(48).minimalize()
     assert minimal.a == 3 and s == 2
     minimal, s = Curve(3).minimalize()
     assert minimal.a == 3 and s == 1
+
+
+def test_public_api_names_resolve():
+    import axheights
+
+    assert len(set(axheights.__all__)) == len(axheights.__all__)
+    for name in axheights.__all__:
+        assert hasattr(axheights, name), name

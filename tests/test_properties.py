@@ -1,0 +1,65 @@
+"""Property tests of the canonical height over every nontorsion point that
+the search finds on the small curves: quadraticity, the parallelogram law
+and invariance under change of model.  Each identity is judged against the
+error bounds of the heights it combines, weighted by their coefficients."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from axheights.arithmetic import is_fourth_power_free
+from axheights.bounds import find_points
+from axheights.curve import Curve, Point
+from axheights.heights import canonical_height
+
+#: the nontorsion points of find_points(Curve(a), 12) for each
+#: fourth-power-free |a| <= 60 that has one
+BY_CURVE = {
+    a: points
+    for a in range(-60, 61)
+    if a != 0 and is_fourth_power_free(a)
+    if (points := [p for p in find_points(Curve(a), 12) if not Curve(a).is_torsion(p)])
+}
+POINTS = [(a, point) for a, points in BY_CURVE.items() for point in points]
+
+PROPERTY = settings(max_examples=300, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def point_pairs(draw):
+    a = draw(st.sampled_from(list(BY_CURVE)))
+    return a, draw(st.sampled_from(BY_CURVE[a])), draw(st.sampled_from(BY_CURVE[a]))
+
+
+@PROPERTY
+@given(st.sampled_from(POINTS), st.integers(2, 7))
+def test_quadraticity(sample, n):
+    a, point = sample
+    curve = Curve(a)
+    base = canonical_height(curve, point)
+    multiple = canonical_height(curve, curve.multiply(n, point))
+    gap = abs(multiple.canonical - n * n * base.canonical)
+    assert gap <= multiple.error_bound + n * n * base.error_bound, (a, point, n, gap)
+
+
+@PROPERTY
+@given(point_pairs())
+def test_parallelogram_law(sample):
+    a, p, q = sample
+    curve = Curve(a)
+    hp, hq = canonical_height(curve, p), canonical_height(curve, q)
+    hsum = canonical_height(curve, curve.add(p, q))
+    hdiff = canonical_height(curve, curve.add(p, -q))
+    gap = abs(hsum.canonical + hdiff.canonical - 2 * hp.canonical - 2 * hq.canonical)
+    error = hsum.error_bound + hdiff.error_bound + 2 * hp.error_bound + 2 * hq.error_bound
+    assert gap <= error, (a, p, q, gap)
+
+
+@PROPERTY
+@given(st.sampled_from(POINTS), st.integers(2, 6))
+def test_model_invariance(sample, s):
+    a, point = sample
+    scaled = Point(point.x * s**2, point.y * s**3)
+    base = canonical_height(Curve(a), point)
+    other = canonical_height(Curve(a * s**4), scaled)
+    gap = abs(other.canonical - base.canonical)
+    assert gap <= other.error_bound + base.error_bound, (a, point, s, gap)
