@@ -88,17 +88,21 @@ class BoundCheck:
     """One certified inequality with its margin.
 
     status is "pass" when margin > +error_bound, "fail" when
-    margin < -error_bound, and "inconclusive" in between.
+    margin < -error_bound, and "inconclusive" in between; exact checks
+    (B2, SumIdentity, X2PSquare) only pass or fail.
     """
 
-    theorem: str  # Lang | Corollary | DiffUpper | DiffLowerSqrt | DiffLowerConst | B2
+    theorem: str  # Lang | Corollary | Diff* | B2 | SumIdentity | X2PSquare
     bound: float
     actual: float
     margin: float
-    passed: bool
     status: str
     error_bound: float = 0.0
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 def _verdict(theorem, bound, actual, margin, error_bound, note="") -> BoundCheck:
@@ -108,16 +112,14 @@ def _verdict(theorem, bound, actual, margin, error_bound, note="") -> BoundCheck
         status = "fail"
     else:
         status = "inconclusive"
-    return BoundCheck(
-        theorem=theorem,
-        bound=bound,
-        actual=actual,
-        margin=margin,
-        passed=status == "pass",
-        status=status,
-        error_bound=error_bound,
-        note=note,
-    )
+    return BoundCheck(theorem, bound, actual, margin, status, error_bound, note)
+
+
+def _exact(theorem: str, ok: bool, bound: float = 0.0, actual: float = 0.0,
+           note: str = "") -> BoundCheck:
+    """A verdict decided in exact arithmetic: pass or fail, error_bound 0."""
+    return BoundCheck(theorem, bound, actual, actual - bound, "pass" if ok else "fail",
+                      note=note)
 
 
 def lang_lower_bound(a: int) -> LangBound:
@@ -174,16 +176,7 @@ def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
         )
         note += "; discrepancy: stated hypothesis with odd ord_2(x)"
     ok = b2.ord2_B >= class_bound and ((not stated) or b2.ord2_B >= b1.ord2_B + 2)
-    return BoundCheck(
-        theorem="B2",
-        bound=float(class_bound),
-        actual=float(b2.ord2_B),
-        margin=float(b2.ord2_B - class_bound),
-        passed=ok,
-        status="pass" if ok else "fail",
-        error_bound=0.0,
-        note=note,
-    )
+    return _exact("B2", ok, float(class_bound), float(b2.ord2_B), note)
 
 
 def certify_point(curve: Curve, point: Point) -> list[BoundCheck]:
@@ -277,17 +270,12 @@ class SweepRow:
     naive: float
     canonical: float
     difference: float
+    #: the checks of certify_point, then SumIdentity and X2PSquare
     checks: tuple[BoundCheck, ...]
-    sum_identity_ok: bool
-    x2p_square_ok: bool
 
     @property
     def all_pass(self) -> bool:
-        return (
-            all(c.passed for c in self.checks)
-            and self.sum_identity_ok
-            and self.x2p_square_ok
-        )
+        return all(c.passed for c in self.checks)
 
 
 @dataclass
@@ -322,10 +310,6 @@ class SweepReport:
             for check in row.checks:
                 if not check.passed:
                     out.append((row.a, row.x, check.theorem + ":" + check.status))
-            if not row.sum_identity_ok:
-                out.append((row.a, row.x, "SumIdentity:fail"))
-            if not row.x2p_square_ok:
-                out.append((row.a, row.x, "X2PSquare:fail"))
         return out
 
 
@@ -343,6 +327,7 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
             continue
         # the identity answers (False, {}) exactly when x(2P) is not a square
         identity_ok, residues = nonarch_sum_identity(curve, point)
+        checks += [_exact("SumIdentity", identity_ok), _exact("X2PSquare", bool(residues))]
         rows.append(
             SweepRow(
                 a=a,
@@ -352,8 +337,6 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
                 canonical=bd.canonical,
                 difference=bd.difference,
                 checks=tuple(checks),
-                sum_identity_ok=identity_ok,
-                x2p_square_ok=bool(residues),
             )
         )
     return rows, torsion_rows

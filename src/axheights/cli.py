@@ -1,11 +1,15 @@
 """Command-line frontend: classification, heights, certification, sweeps,
 extremal generation and the oracle cross-check, with machine-readable output.
 
-Exit codes: 0 success, 2 argument/parse error, 3 non-minimal curve under
---strict-minimal, 4 point not on curve, 5 a bound check failed,
-6 a bound check was inconclusive, 7 extremal row validation failed,
-8 no rational half exists, 9 oracle disagreement, 10 factoring gave up
-after its effort budget.
+Exit codes: 0 success, 2 argument/parse error or an unwritable --out path,
+3 non-minimal curve under --strict-minimal, 4 point not on curve, 5 a bound
+check failed, 6 a bound check was inconclusive, 7 extremal row validation
+failed, 8 no rational half exists, 9 oracle disagreement, 10 factoring gave
+up after its effort budget, 141 stdout was closed by its reader.
+
+verify, extremal --certify and sweep share one rule for their checks (for
+sweep, every check of every row): any "fail" exits 5, otherwise any
+"inconclusive" exits 6, otherwise 0.
 
 Note on normalisation: the canonical height reported here is one-half of
 the value returned by PARI's ellheight (and by some tables); halve any
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -49,6 +54,8 @@ EXIT_ROW_INVALID = 7
 EXIT_NO_HALF = 8
 EXIT_ORACLE_MISMATCH = 9
 EXIT_FACTORING_BUDGET = 10
+#: as a shell reports a process that SIGPIPE ended (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 #: exit code of each library error; any other AxHeightsError exits EXIT_USAGE
 _ERROR_EXITS = {
@@ -81,6 +88,16 @@ def _check_dict(check: BoundCheck) -> dict:
         "error_bound": _fmt(check.error_bound),
         "note": check.note,
     }
+
+
+def _checks_exit(checks) -> int:
+    """The one exit rule for checks: 5 on any fail, else 6 on any inconclusive."""
+    statuses = {c.status for c in checks}
+    if "fail" in statuses:
+        return EXIT_BOUND_FAILED
+    if "inconclusive" in statuses:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -185,7 +202,8 @@ def cmd_height(args) -> int:
     started = time.perf_counter()
     curve = Curve(args.a)
     point = _point(args)
-    doc = _height_document(curve, point, canonical_height(curve, point), "height", started)
+    bd = canonical_height(curve, point)
+    doc = _height_document(curve, point, bd, "height", started)
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -198,6 +216,9 @@ def cmd_height(args) -> int:
                 f"  lambda_{term['prime']}: {term['coefficient']} * log({term['prime']})"
                 f" = {term['value']}  [{term['correction_tag']}]"
             )
+        if bd.bulk_denominator_log:
+            print(f"  lambda_bulk: 1/2 * log(denominator part prime to 2a)"
+                  f" = {_fmt(bd.bulk_denominator_log)}")
         if doc["archimedean"] is not None:
             print(f"  lambda_inf: {doc['archimedean']} (tail < {doc['archimedean_tail']})")
     return EXIT_OK
@@ -218,11 +239,7 @@ def cmd_verify(args) -> int:
                 f"{c.theorem:15s} bound={_fmt(c.bound): .12g}  actual={_fmt(c.actual): .12g}"
                 f"  margin={_fmt(c.margin): .3g}  {c.status.upper()}"
             )
-    if any(c.status == "fail" for c in checks):
-        return EXIT_BOUND_FAILED
-    if any(c.status == "inconclusive" for c in checks):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _checks_exit(checks)
 
 
 _SWEEP_COLUMNS = [
@@ -234,28 +251,28 @@ _SWEEP_COLUMNS = [
 
 
 def _sweep_row_record(row) -> dict:
+    # rows are nontorsion points, so every theorem below has its check
     by_theorem = {c.theorem: c for c in row.checks}
-    lang = by_theorem.get("Lang")
-    rec = {
+    lang = by_theorem["Lang"]
+    return {
         "a": row.a,
         "x": row.x,
         "y": row.y,
         "naive": _fmt(row.naive),
         "canonical": _fmt(row.canonical),
         "difference": _fmt(row.difference),
-        "lang_bound": _fmt(lang.bound) if lang else None,
-        "lang_margin": _fmt(lang.margin) if lang else None,
+        "lang_bound": _fmt(lang.bound),
+        "lang_margin": _fmt(lang.margin),
         "corollary_margin": _fmt(by_theorem["Corollary"].margin),
         "diff_upper_margin": _fmt(by_theorem["DiffUpper"].margin),
         "diff_lower_sqrt_margin": _fmt(by_theorem["DiffLowerSqrt"].margin),
         "diff_lower_const_margin": _fmt(by_theorem["DiffLowerConst"].margin),
         "b2_actual": int(by_theorem["B2"].actual),
         "b2_bound": int(by_theorem["B2"].bound),
-        "sum_identity_ok": row.sum_identity_ok,
-        "x2p_square_ok": row.x2p_square_ok,
+        "sum_identity_ok": by_theorem["SumIdentity"].passed,
+        "x2p_square_ok": by_theorem["X2PSquare"].passed,
         "all_pass": row.all_pass,
     }
-    return rec
 
 
 def _sweep_document(report: SweepReport) -> dict:
@@ -296,12 +313,15 @@ def cmd_sweep(args) -> int:
     report = sweep(args.amin, args.amax, args.search_bound, workers=args.workers)
     doc = _sweep_document(report)
     if args.out:
-        if args.out.endswith(".csv"):
-            _write_sweep_csv(report, args.out)
-        else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2)
-                handle.write("\n")
+        try:
+            if args.out.endswith(".csv"):
+                _write_sweep_csv(report, args.out)
+            else:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    json.dump(doc, handle, indent=2)
+                    handle.write("\n")
+        except OSError as exc:
+            raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {len(report.rows)} rows to {args.out}")
     else:
         summary = dict(doc)
@@ -309,8 +329,7 @@ def cmd_sweep(args) -> int:
         print(json.dumps(summary, indent=2))
     if report.violations:
         print(f"{len(report.violations)} bound violations!", file=sys.stderr)
-        return EXIT_BOUND_FAILED
-    return EXIT_OK
+    return _checks_exit(c for row in report.rows for c in row.checks)
 
 
 #: the kind family_diff builds for each difference family name
@@ -341,13 +360,14 @@ def cmd_extremal(args) -> int:
         "target_x2p": str(candidate.target_x2p) if candidate.target_x2p else None,
         "validated": candidate.validated,
     }
+    checks = []
     if args.certify:
         checks, bd = _certify(Curve(candidate.a), candidate.point)
         doc["checks"] = [_check_dict(c) for c in checks]
         doc["canonical"] = _fmt(bd.canonical)
         doc["difference"] = _fmt(bd.difference)
     print(json.dumps(doc, indent=2))
-    return EXIT_OK
+    return _checks_exit(checks)
 
 
 def cmd_oracle(args) -> int:
@@ -473,10 +493,20 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "depth", None) is not None and not (1 <= args.depth <= MAX_DOUBLINGS):
         parser.error(f"--depth must be in 1..{MAX_DOUBLINGS}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except AxHeightsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR_EXITS.get(type(exc), EXIT_USAGE)
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull so the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

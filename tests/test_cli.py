@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from axheights import cli
+from axheights import bounds, cli
 from axheights.cli import main
+from axheights.curve import Curve, affine
 from axheights.errors import FactorizationBudgetExceeded
 
 DATA = Path(__file__).parent / "data"
@@ -94,6 +100,29 @@ def test_height_not_on_curve(capsys):
         assert code == 4
         assert out == ""
         assert "error: (1, 5) is not on y^2 = x^3 + 3x" in err.splitlines()
+
+
+def _printed_terms(out: str) -> tuple[float, list[float]]:
+    """hhat and the lambda_* values of the text output of height."""
+    canonical, terms = None, []
+    for line in out.splitlines():
+        if line.startswith("canonical height"):
+            canonical = float(line.split("= ")[1].split()[0])
+        elif line.startswith("  lambda_"):
+            value = line.split(": ", 1)[1].split("  [")[0]  # drop the tag
+            terms.append(float(value.split(" = ")[-1].split()[0]))
+    return canonical, terms
+
+
+@pytest.mark.parametrize("multiple", [1, 10])
+def test_height_text_terms_sum_to_canonical(capsys, multiple):
+    # 10P on a = -17 has a 50-digit denominator, beyond the itemised range
+    point = Curve(-17).multiply(multiple, affine(-1, 4))
+    code, out, _ = run(capsys, "height", "--a", "-17", f"--x={point.x}", f"--y={point.y}")
+    assert code == 0
+    assert ("lambda_bulk" in out) == (multiple == 10)
+    canonical, terms = _printed_terms(out)
+    assert math.isclose(math.fsum(terms), canonical, rel_tol=1e-13)
 
 
 def test_verify_json_extends_height_json(capsys):
@@ -270,6 +299,80 @@ def test_sweep_output_bytes_frozen(tmp_path, capsys, workers, suffix):
     assert out_path.read_bytes() == (DATA / f"sweep_m20_20_b30.{suffix}").read_bytes()
 
 
+def test_sweep_failing_identity_exits_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "nonarch_sum_identity", lambda curve, point: (False, {2: Fraction(1)}))
+    out_path = tmp_path / "r.json"
+    code, _, err = run(
+        capsys, "sweep", "--amin", "-2", "--amax", "3", "--search-bound", "10",
+        "--workers", "1", "--out", str(out_path),
+    )
+    assert code == 5
+    doc = json.loads(out_path.read_text())
+    assert doc["rows"]
+    for row in doc["rows"]:
+        assert not row["sum_identity_ok"] and row["x2p_square_ok"] and not row["all_pass"]
+    assert doc["violations"] == [[r["a"], r["x"], "SumIdentity:fail"] for r in doc["rows"]]
+    assert err == f"{len(doc['rows'])} bound violations!\n"
+
+
+def test_sweep_inconclusive_only_exits_6(capsys, monkeypatch):
+    certify = bounds._certify
+
+    def widen_lang(curve, point):
+        # the same Lang margin, judged against an error bound that covers it
+        checks, bd = certify(curve, point)
+        return [
+            bounds._verdict(c.theorem, c.bound, c.actual, c.margin, abs(c.margin) + 1, c.note)
+            if c.theorem == "Lang" else c
+            for c in checks
+        ], bd
+
+    monkeypatch.setattr(bounds, "_certify", widen_lang)
+    code, out, _ = run(
+        capsys, "sweep", "--amin", "-2", "--amax", "3", "--search-bound", "10", "--workers", "1",
+    )
+    assert code == 6
+    violations = json.loads(out)["violations"]
+    assert violations and {v[2] for v in violations} == {"Lang:inconclusive"}
+
+
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+def test_sweep_unwritable_out_exits_2(tmp_path, capsys, suffix):
+    path = tmp_path / "missing" / f"r.{suffix}"
+    code, out, err = run(
+        capsys, "sweep", "--amin", "1", "--amax", "3", "--search-bound", "5",
+        "--workers", "1", "--out", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height", "--a", "3", "--x", "1", "--y", "2", "--json"],
+        ["verify", "--a", "3", "--x", "1", "--y", "2"],
+        ["sweep", "--amin", "1", "--amax", "3", "--search-bound", "5", "--workers", "1"],
+    ],
+)
+def test_closed_stdout_exits_141(argv):
+    # stdout is a pipe whose reader has already gone, as in `axheights ... | head`
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "axheights", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert all(line.startswith("timing:") for line in proc.stderr.splitlines()), proc.stderr
+
+
 def test_sweep_json_summary(capsys):
     code, out, _ = run(
         capsys, "sweep", "--amin", "2", "--amax", "2", "--search-bound", "30",
@@ -296,9 +399,13 @@ def test_cli_output_bytes_frozen():
 
 
 if __name__ == "__main__":
-    # rewrites every frozen data file from the argv its test replays
+    # rewrites every frozen data file from the argv its test replays; an argv
+    # given after the script name is appended to cli_frozen.json as a record
     path = DATA / "cli_frozen.json"
-    records = [_frozen_run(r["argv"]) for r in json.loads(path.read_text())]
+    argvs = [r["argv"] for r in json.loads(path.read_text())]
+    if len(sys.argv) > 1:
+        argvs.append(sys.argv[1:])
+    records = [_frozen_run(argv) for argv in argvs]
     path.write_text(json.dumps(records, indent=2) + "\n")
     for suffix in ("json", "csv"):
         if main(_frozen_sweep_argv("1", DATA / f"sweep_m20_20_b30.{suffix}")) != 0:
