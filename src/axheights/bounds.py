@@ -157,24 +157,16 @@ def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
 
     The class bound is 4 / 2 / 0 for the three groups of a mod 16.  When
     a != 4 mod 16 or ord_2(x(P)) != 1, additionally require
-    ord_2(B_2) >= ord_2(B_1) + 2.  Points where that stated hypothesis and
-    the even-valuation shape it rests on classify differently are logged,
-    not failed.
+    ord_2(B_2) >= ord_2(B_1) + 2.  For a = 4 mod 16 the step rests on an
+    even ord_2(x), and ord_2(x) is 1 or even: with x = b1 M^2/e^2 as in
+    find_points, an even b1 makes e odd and ord_2(b2) = 1, hence M odd.
+    x = 0 is torsion and raises before ord_2(x) is read.
     """
-    records = denominator_sequence(curve, point, 2)
-    b1, b2 = records[0], records[1]
+    b1, b2 = denominator_sequence(curve, point, 2)
     group = residue_group(curve.a)
     class_bound = {"g1": 4, "g2": 2, "g4": 0}[group]
-    ord2x = ord_p(point.x, 2) if point.x != 0 else None
-    stated = (group != "g4") or (ord2x != 1)
-    proof_shape = (group != "g4") or (ord2x is not None and ord2x % 2 == 0)
+    stated = group != "g4" or ord_p(point.x, 2) != 1
     note = f"ord2(B1)={b1.ord2_B}, ord2(B2)={b2.ord2_B}, step_required={stated}"
-    if stated and not proof_shape:
-        logger.warning(
-            "b2 step check: stated hypothesis holds but ord_2(x) = %s is odd "
-            "(a = %s, x = %s)", ord2x, curve.a, point.x,
-        )
-        note += "; discrepancy: stated hypothesis with odd ord_2(x)"
     ok = b2.ord2_B >= class_bound and ((not stated) or b2.ord2_B >= b1.ord2_B + 2)
     return _exact("B2", ok, float(class_bound), float(b2.ord2_B), note)
 

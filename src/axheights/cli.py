@@ -19,6 +19,7 @@ external cross-check accordingly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -295,38 +296,42 @@ def _sweep_document(report: SweepReport) -> dict:
     }
 
 
-def _write_sweep_csv(report: SweepReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("# sweep report: one row per certified nontorsion point\n")
-        handle.write(f"# a in [{report.a_min}, {report.a_max}], "
-                     f"search bound {report.search_bound}, schema {SCHEMA_VERSION}\n")
-        writer = csv.DictWriter(handle, fieldnames=_SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in report.rows:
-            writer.writerow(_sweep_row_record(row))
+def _write_sweep_csv(report: SweepReport, handle) -> None:
+    handle.write("# sweep report: one row per certified nontorsion point\n")
+    handle.write(f"# a in [{report.a_min}, {report.a_max}], "
+                 f"search bound {report.search_bound}, schema {SCHEMA_VERSION}\n")
+    writer = csv.DictWriter(handle, fieldnames=_SWEEP_COLUMNS)
+    writer.writeheader()
+    for row in report.rows:
+        writer.writerow(_sweep_row_record(row))
 
 
 def cmd_sweep(args) -> int:
     if args.amin > args.amax:
         print("error: --amin must be <= --amax", file=sys.stderr)
         return EXIT_USAGE
-    report = sweep(args.amin, args.amax, args.search_bound, workers=args.workers)
-    doc = _sweep_document(report)
-    if args.out:
-        try:
-            if args.out.endswith(".csv"):
-                _write_sweep_csv(report, args.out)
-            else:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    json.dump(doc, handle, indent=2)
-                    handle.write("\n")
-        except OSError as exc:
-            raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-        print(f"wrote {len(report.rows)} rows to {args.out}")
-    else:
-        summary = dict(doc)
-        summary.pop("rows")
-        print(json.dumps(summary, indent=2))
+    try:  # opened before the sweep, so that an unwritable path costs no search
+        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+    with out or contextlib.nullcontext():
+        report = sweep(args.amin, args.amax, args.search_bound, workers=args.workers)
+        doc = _sweep_document(report)
+        if out:
+            try:
+                if args.out.endswith(".csv"):
+                    _write_sweep_csv(report, out)
+                else:
+                    json.dump(doc, out, indent=2)
+                    out.write("\n")
+                out.close()  # inside the guard: the last flush can fail too
+            except OSError as exc:
+                raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+            print(f"wrote {len(report.rows)} rows to {args.out}")
+        else:
+            summary = dict(doc)
+            summary.pop("rows")
+            print(json.dumps(summary, indent=2))
     if report.violations:
         print(f"{len(report.violations)} bound violations!", file=sys.stderr)
     return _checks_exit(c for row in report.rows for c in row.checks)

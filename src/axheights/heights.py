@@ -3,10 +3,10 @@ denominator analysis of x(nP).
 
 The canonical height is assembled from local heights: the truncated Tate
 series at the archimedean place plus exact rational multiples of log(p) at
-the finite places.  The limit oracle recomputes it independently from the
-definition (1/2) lim h(2^n P) / 4^n in exact arithmetic, and is the main
-cross-check for the decomposition path; the oracle command, the tests and
-the benchmark run it, the sweep does not.
+the finite places that height_primes selects.  The limit oracle recomputes
+it independently from the definition (1/2) lim h(2^n P) / 4^n in exact
+arithmetic, and is the main cross-check for the decomposition path; the
+oracle command, the tests and the benchmark run it, the sweep does not.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ class HeightBreakdown:
 
     naive and difference refer to the model the point was given on; the
     canonical height itself is model-independent and is computed on the
-    fourth-power-free model.  When the denominator of x is too large to
-    factor, the good primes dividing it contribute through the single
-    aggregate bulk_denominator_log = (1/2) log(coprime-to-2a part) instead
-    of itemised terms; canonical = archimedean + sum(terms) + bulk.
+    fourth-power-free model.  The part of the denominator of x prime to 2a,
+    when above _ITEMIZE_LIMIT, contributes the single aggregate
+    bulk_denominator_log = (1/2) log(that part) instead of itemised terms;
+    canonical = archimedean + sum(terms) + bulk.
     """
 
     naive: float
@@ -82,17 +82,26 @@ def _to_minimal(curve: Curve, point: Point) -> tuple[Curve, Point, int]:
     return minimal, Point(point.x / s**2, point.y / s**3), s
 
 
-def height_primes(curve: Curve, point: Point) -> list[int]:
-    """Primes that can contribute to lambda_p: those dividing 2a or the
-    denominator of x(P).  Everywhere else the local height is zero."""
-    primes = set(bad_primes(curve))
-    if point.x.denominator > 1:
-        primes |= set(factorize(point.x.denominator))
-    return sorted(primes)
-
-
-#: denominators beyond this are not itemised prime by prime
+#: a coprime-to-2a denominator part beyond this is not itemised prime by prime
 _ITEMIZE_LIMIT = 10**18
+
+
+def height_primes(curve: Curve, point: Point) -> tuple[list[int], int]:
+    """(primes, rest): the finite places canonical_height itemises, and the
+    part of the denominator of x(P) it leaves unfactored.
+
+    primes are those of 2a, then, when the part of den x prime to 2a is at
+    most _ITEMIZE_LIMIT, those of that part (rest = 1); each run is sorted.
+    Off 2a, lambda_p = (1/2) ord_p(den x) log p, so rest adds (1/2) log(rest).
+    """
+    primes = bad_primes(curve)
+    rest = point.x.denominator
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+    if 1 < rest <= _ITEMIZE_LIMIT:
+        return primes + sorted(factorize(rest)), 1
+    return primes, rest
 
 
 def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
@@ -116,20 +125,9 @@ def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
             is_torsion=True,
         )
     arch = lambda_archimedean(minimal, q)
-    prime_list = bad_primes(minimal)
-    bulk = q.x.denominator
-    for p in prime_list:
-        while bulk % p == 0:
-            bulk //= p
-    bulk_log = 0.0
-    if bulk > 1:
-        if bulk <= _ITEMIZE_LIMIT:
-            prime_list += sorted(factorize(bulk))
-        else:
-            # aggregate of (1/2) max(0, -ord_p x) log p over the good primes
-            # dividing the denominator; their corrections are all zero
-            bulk_log = 0.5 * math.log(bulk)
-    locals_ = tuple(lambda_nonarch(minimal, q, p) for p in prime_list)
+    primes, rest = height_primes(minimal, q)
+    locals_ = tuple(lambda_nonarch(minimal, q, p) for p in primes)
+    bulk_log = 0.5 * math.log(rest)  # 0.0 when everything is itemised
     contributions = [arch.value, bulk_log] + [t.value for t in locals_]
     canonical = math.fsum(contributions)
     # one ulp per floating log evaluation, plus the series tail
@@ -202,7 +200,8 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
     if root is None:
         return False, {}
     delta = root.denominator
-    indicator = curve.a % 16 == 4 and x2 != 0 and ord_int(x2.numerator, 2) > 0
+    # x(2P) != 0: only a point of order 4 doubles to (0, 0)
+    indicator = curve.a % 16 == 4 and ord_int(x2.numerator, 2) > 0
     residues: dict[int, Fraction] = {}
     for p in bad_primes(curve):
         lhs = lambda_nonarch(curve, two_p, p).coefficient

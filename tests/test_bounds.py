@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from axheights.arithmetic import is_fourth_power_free, isqrt_exact, squarefree_divisors
+from axheights.arithmetic import is_fourth_power_free, isqrt_exact, ord_p, squarefree_divisors
 from axheights.bounds import (
     certify_point,
     check_b2_bounds,
@@ -115,7 +115,25 @@ def test_check_b2_examples():
     assert c.passed and c.actual == 2 and c.bound == 2
     c = check_b2_bounds(Curve(-2), affine(-1, 1))
     assert c.passed and c.actual == 2
-    assert "discrepancy" not in c.note
+
+
+def test_ord2_x_is_one_or_even_when_a_is_4_mod_16():
+    # check_b2_bounds takes "ord_2(x) != 1" for the even valuation its step
+    # rests on when a = 4 mod 16; the two agree only because ord_2(x) is
+    # never odd and above 1 there
+    valuations = set()
+    for a in range(-500, 501):
+        if a % 16 != 4 or not is_fourth_power_free(a):
+            continue
+        curve = Curve(a)
+        for point in find_points(curve, 30):
+            if curve.is_torsion(point):
+                continue
+            for n in range(1, 6):
+                v = ord_p(curve.multiply(n, point).x, 2)
+                assert v == 1 or v % 2 == 0, (a, point, n)
+                valuations.add(v)
+    assert 1 in valuations and 0 in valuations
 
 
 def test_find_points_membership():

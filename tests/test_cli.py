@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -337,7 +338,12 @@ def test_sweep_inconclusive_only_exits_6(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("suffix", ["json", "csv"])
-def test_sweep_unwritable_out_exits_2(tmp_path, capsys, suffix):
+def test_sweep_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, suffix):
+    # the path is opened before any curve is searched
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before --out was opened")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
     path = tmp_path / "missing" / f"r.{suffix}"
     code, out, err = run(
         capsys, "sweep", "--amin", "1", "--amax", "3", "--search-bound", "5",
@@ -371,6 +377,25 @@ def test_closed_stdout_exits_141(argv):
         os.close(write)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert all(line.startswith("timing:") for line in proc.stderr.splitlines()), proc.stderr
+
+
+def _acceptance_digests(report) -> dict[str, str]:
+    """sha256 of the JSON and CSV bytes that sweep --out writes for report."""
+    csv_text = io.StringIO()
+    cli._write_sweep_csv(report, csv_text)
+    texts = {
+        "json": json.dumps(cli._sweep_document(report), indent=2) + "\n",
+        "csv": csv_text.getvalue(),
+    }
+    return {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in texts.items()}
+
+
+def test_acceptance_sweep_bytes_frozen(acceptance_sweep):
+    # the acceptance sweep's report bytes, pinned by digest; rewrite the
+    # digests (run this module as a script) only for a deliberate,
+    # documented output change
+    expected = json.loads((DATA / "acceptance_sweep_sha256.json").read_text())
+    assert _acceptance_digests(acceptance_sweep) == expected
 
 
 def test_sweep_json_summary(capsys):
@@ -410,3 +435,7 @@ if __name__ == "__main__":
     for suffix in ("json", "csv"):
         if main(_frozen_sweep_argv("1", DATA / f"sweep_m20_20_b30.{suffix}")) != 0:
             raise SystemExit(f"the sweep for sweep_m20_20_b30.{suffix} did not exit 0")
+    from conftest import run_acceptance_sweep
+
+    digests = _acceptance_digests(run_acceptance_sweep())
+    (DATA / "acceptance_sweep_sha256.json").write_text(json.dumps(digests, indent=2) + "\n")

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,11 @@ import pytest
 from axheights.curve import INFINITY, Curve, affine
 from axheights.errors import DepthExceeded, InfinityPoint, NotOnCurve, TorsionPoint
 from axheights.heights import (
+    _ITEMIZE_LIMIT,
+    _to_minimal,
     canonical_height,
     denominator_sequence,
+    height_primes,
     limit_oracle,
     naive_height,
     nonarch_sum_identity,
@@ -190,3 +194,28 @@ def test_huge_point_uses_bulk_denominator():
     bd = canonical_height(curve, q)
     assert bd.bulk_denominator_log > 0
     assert abs(bd.canonical - 4**7 * 0.25059119602358915) < 1e-9
+
+
+@pytest.mark.parametrize("k", [13, 23, 29])
+def test_height_primes_never_factors_past_the_cap(k):
+    # the denominator of kP has 86 to 428 digits; factoring it whole gave up
+    # after seconds, but its part prime to 2a never needs factoring
+    curve = Curve(-17)
+    point = curve.multiply(k, affine(-1, 4))
+    started = time.perf_counter()
+    primes, rest = height_primes(curve, point)
+    assert time.perf_counter() - started < 0.1
+    assert primes == [2, 17]
+    assert rest > _ITEMIZE_LIMIT
+
+
+@pytest.mark.parametrize("a,pt", [(a, pt) for a, pt, _ in _FROZEN] + [(48, (4, 16))])
+def test_canonical_height_itemises_height_primes(a, pt):
+    # small multiples are itemised in full, large ones leave a bulk part
+    curve = Curve(a)
+    for k in (1, 3, 5, 13, 23, 29):
+        point = curve.multiply(k, affine(*pt))
+        primes, rest = height_primes(*_to_minimal(curve, point)[:2])
+        bd = canonical_height(curve, point)
+        assert [t.prime for t in bd.nonarch_terms] == primes
+        assert bd.bulk_denominator_log == 0.5 * math.log(rest)

@@ -129,7 +129,9 @@ def test_doubled_points_lose_corrections():
     for a, p in cases:
         curve = Curve(a)
         q = curve.double(p)
-        for prime in height_primes(curve, q):
+        primes, rest = height_primes(curve, q)
+        assert rest == 1  # every prime of the denominator is itemised
+        for prime in primes:
             term = lambda_nonarch(curve, q, prime)
             if prime == 2:
                 assert term.correction in (0, Fraction(1, 2))
