@@ -9,6 +9,7 @@ point it finds.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -214,8 +215,26 @@ def _certify(curve: Curve, point: Point) -> tuple[list[BoundCheck], HeightBreakd
 # ---------------------------------------------------------------------------
 
 
-#: squares mod 256, for cheap rejection before isqrt
-_SQ_MOD = frozenset((i * i) % 256 for i in range(256))
+#: moduli of the residue sieve in find_points, the most selective first
+_SIEVE_MODULI = (256, 9, 5, 7, 11, 13, 17, 19)
+
+
+@functools.lru_cache(maxsize=4)
+def _sieve_tables(search_bound: int):
+    """The bitmasks find_points sieves with, bit M standing for M in
+    [1, search_bound]: at index e the M coprime to e, and for each sieve
+    modulus q its squares and the masks of the classes {M : M^4 = f mod q}
+    as (f, mask) pairs."""
+    ms = range(1, search_bound + 1)
+    coprime = [0] + [sum(1 << m for m in ms if math.gcd(m, e) == 1) for e in ms]
+    sieves = []
+    for q in _SIEVE_MODULI:
+        classes: dict[int, int] = {}
+        for m in ms:
+            f = pow(m, 4, q)
+            classes[f] = classes.get(f, 0) | 1 << m
+        sieves.append((q, frozenset(i * i % q for i in range(q)), tuple(classes.items())))
+    return coprime, tuple(sieves)
 
 
 def find_points(curve: Curve, search_bound: int) -> list[Point]:
@@ -227,24 +246,58 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
     a and M, e up to the bound, so the search is exhaustive up to the box;
     x is then in lowest terms, so no x is found twice.  Returns nontorsion
     and torsion points alike, with y >= 0, sorted by x.
+
+    For each (b1, e) the candidate M form a bitmask over [1, bound], cut
+    before any square root is taken:
+    - to the M coprime to e;
+    - to the M with N^2 >= 0: when the two terms have opposite signs,
+      M <= (b2 e^4/|b1|)^(1/4) for b1 < 0 and M >= (|b2| e^4/b1)^(1/4)
+      for b2 < 0, with integer fourth roots, so equality (N = 0, the
+      points (+-k, 0) on a = -k^2) stays in range;
+    - for each modulus q of _SIEVE_MODULI, to the M whose class of M^4
+      makes b1*M^4 + b2*e^4 a square mod q (ratpoints' residue sieve).
+    Only the M that survive reach isqrt.
     """
     a = curve.a
+    coprime, sieves = _sieve_tables(search_bound)
     found: list[Point] = []
     for d in squarefree_divisors(a):
         # for a > 0 a negative b1 makes b2 negative too, and N^2 < 0
         for b1 in (d, -d) if a < 0 else (d,):
             b2 = a // b1
+            # per modulus, the mask allowed by each residue of b2*e^4 mod q
+            allowed: list[dict[int, int]] = [{} for _ in sieves]
             for e in range(1, search_bound + 1):
                 if math.gcd(d, e) != 1:
                     continue
                 b2e4 = b2 * e**4
-                for m in range(1, search_bound + 1):
-                    if math.gcd(m, e) != 1:
-                        continue
-                    n2 = b1 * m**4 + b2e4
-                    if n2 < 0 or (n2 & 255) not in _SQ_MOD:
-                        continue
-                    n = isqrt_exact(n2)
+                lo, hi = 1, search_bound
+                if b1 < 0:
+                    hi = min(hi, math.isqrt(math.isqrt(b2e4 // -b1)))
+                elif b2 < 0:
+                    least = -(b2e4 // b1)  # ceil(|b2| e^4 / b1) <= M^4
+                    lo = math.isqrt(math.isqrt(least))
+                    lo += lo**4 < least
+                if lo > hi:
+                    continue
+                mask = coprime[e] & ((1 << hi + 1) - (1 << lo))
+                for (q, squares, classes), memo in zip(sieves, allowed):
+                    if not mask:
+                        break
+                    r = b2e4 % q
+                    sieve = memo.get(r)
+                    if sieve is None:
+                        sieve = 0
+                        for f, class_mask in classes:
+                            if (b1 * f + r) % q in squares:
+                                sieve |= class_mask
+                        memo[r] = sieve
+                    mask &= sieve
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    m = low.bit_length() - 1
+                    n = isqrt_exact(b1 * m**4 + b2e4)
                     if n is not None:
                         x = Fraction(b1 * m * m, e * e)
                         found.append(Point(x, Fraction(d * m * n, e**3)))

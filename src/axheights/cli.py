@@ -497,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, key, config.get(key, default))
     if getattr(args, "depth", None) is not None and not (1 <= args.depth <= MAX_DOUBLINGS):
         parser.error(f"--depth must be in 1..{MAX_DOUBLINGS}")
+    for key in ("search_bound", "workers"):
+        if getattr(args, key, None) is not None and getattr(args, key) < 1:
+            parser.error(f"--{key.replace('_', '-')} must be at least 1")
     try:
         code = args.func(args)
         if sys.stdout is not None:  # None when the process started without fd 1

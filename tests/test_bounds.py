@@ -201,6 +201,46 @@ def test_find_points_matches_reference():
         assert find_points(curve, 40) == _find_points_reference(curve, 40), a
 
 
+def _find_points_brute_force(curve, search_bound):
+    # the descent quartic with no residue sieve and no range cut: isqrt on
+    # every coprime (M, e) for every signed squarefree b1
+    a = curve.a
+    found = []
+    for d in squarefree_divisors(a):
+        for b1 in (d, -d):
+            b2 = a // b1
+            for e in range(1, search_bound + 1):
+                if math.gcd(d, e) != 1:
+                    continue
+                for m in range(1, search_bound + 1):
+                    if math.gcd(m, e) != 1:
+                        continue
+                    n = isqrt_exact(b1 * m**4 + b2 * e**4)
+                    if n is not None:
+                        found.append(Point(Fraction(b1 * m * m, e * e),
+                                           Fraction(d * m * n, e**3)))
+    return sorted(found, key=lambda p: p.x)
+
+
+@pytest.mark.parametrize("search_bound", [1, 2, 7, 40])
+def test_find_points_matches_brute_force(search_bound):
+    for a in range(-60, 61):
+        if a == 0 or not is_fourth_power_free(a):
+            continue
+        curve = Curve(a)
+        assert find_points(curve, search_bound) == _find_points_brute_force(
+            curve, search_bound), a
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 6, 7])
+def test_find_points_two_torsion_on_range_bound(k):
+    # (+-k, 0) on a = -k^2 has N = 0, so M = 1 is the range bound itself:
+    # the upper bound for b1 = -k and the lower bound for b1 = k
+    for search_bound in (1, 40):
+        points = find_points(Curve(-k * k), search_bound)
+        assert [p for p in points if p.y == 0] == [affine(-k, 0), affine(k, 0)]
+
+
 def test_find_points_only_torsion_on_a2():
     pts = find_points(Curve(2), 60)
     torsion_x = {t.x for t in Curve(2).torsion_subgroup().points}

@@ -216,6 +216,29 @@ def test_invalid_config_exits_2(tmp_path, capsys, config, argv):
     assert "invalid config" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("search_bound", 0), ("search_bound", -3), ("workers", 0), ("workers", -2),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_non_positive_bound_or_workers_exits_2(tmp_path, capsys, monkeypatch,
+                                                     key, value, source):
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("sweep was called"))
+    argv = ["sweep", "--amin", "1", "--amax", "3"]
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        argv += [f"{flag}={value}"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        argv = ["--config", str(path), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{flag} must be at least 1" in err
+
+
 def test_config_matches_flag(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"depth": 8}))
