@@ -24,7 +24,7 @@ from .arithmetic import (
     squarefree_divisors,
 )
 from .curve import Curve, Point
-from .errors import NotMinimal
+from .errors import AxHeightsError, NotMinimal
 from .heights import (
     HeightBreakdown,
     _to_minimal,
@@ -410,6 +410,9 @@ def sweep(
     alike, and find_points returns each curve's points sorted by x; so the
     worker count never changes the output.
     """
+    for name, value in (("search_bound", search_bound), ("workers", workers)):
+        if value is not None and value < 1:
+            raise AxHeightsError(f"{name} must be at least 1, got {value}")
     report = SweepReport(a_min=a_min, a_max=a_max, search_bound=search_bound)
     targets = []
     for a in range(a_min, a_max + 1):

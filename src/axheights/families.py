@@ -207,10 +207,10 @@ def family_diff(kind: str, a1: int) -> ExtremalCandidate:
         point = affine(a // 2, 4 * (2 * a1 + 1) * (8 * a1 * a1 + 8 * a1 + 1))
     else:
         raise ZeroInput(f"unknown difference family {kind!r}")
-    curve = Curve(a)
-    if not curve.contains(point):
-        raise RowValidationFailed(f"diff-{kind}(a1={a1}): {point} not on curve")
-    return ExtremalCandidate(f"diff-{kind}", a1, a, point, None, True)
+    family = "diff-" + kind.replace("_", "-")  # the name --family takes
+    if not Curve(a).contains(point):
+        raise RowValidationFailed(f"{family}(a1={a1}): {point} not on curve")
+    return ExtremalCandidate(family, a1, a, point, None, True)
 
 
 def halve_point(curve: Curve, xi: Fraction | int) -> list[Point]:

@@ -1,9 +1,11 @@
 """Naive and canonical heights, the limit-definition oracle, and the
 denominator analysis of x(nP).
 
-The canonical height is assembled from local heights: the truncated Tate
-series at the archimedean place plus exact rational multiples of log(p) at
-the finite places that height_primes selects.  The limit oracle recomputes
+The canonical height is assembled from local heights, each a function of
+a and x(P) alone: the truncated Tate series at the archimedean place plus
+exact rational multiples of log(p) at the finite places that height_primes
+selects.  canonical_height and the sum identity check their point once and
+then call those functions directly.  The limit oracle recomputes
 it independently from the definition (1/2) lim h(2^n P) / 4^n in exact
 arithmetic, and is the main cross-check for the decomposition path; the
 oracle command, the tests and the benchmark run it, the sweep does not.
@@ -22,9 +24,9 @@ from .errors import DepthExceeded, InfinityPoint, NotMinimal, TorsionPoint
 from .local_heights import (
     ArchHeightValue,
     NonArchLocalHeight,
+    _lambda_inf,
+    _lambda_p,
     bad_primes,
-    lambda_archimedean,
-    lambda_nonarch,
 )
 
 MAX_DOUBLINGS = 10
@@ -107,14 +109,12 @@ def height_primes(curve: Curve, point: Point) -> tuple[list[int], int]:
 def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
     """hhat(P) via local decomposition, with a certified error bound.
 
-    Non-minimal a is handled by minimalizing the curve and mapping the point
-    through (x, y) -> (x/s^2, y/s^3); torsion points (including O) report
-    canonical height 0 with an empty breakdown.
+    P is checked once, on the given model; torsion points (including O)
+    report canonical height 0 with an empty breakdown.  Any other point maps
+    through (x, y) -> (x/s^2, y/s^3) to the minimal model.
     """
-    curve._require(point)
     naive = 0.0 if point.is_infinity else naive_height(point)
-    minimal, q, _ = _to_minimal(curve, point)
-    if q.is_infinity or minimal.is_torsion(q):
+    if curve.is_torsion(point):
         return HeightBreakdown(
             naive=naive,
             canonical=0.0,
@@ -124,9 +124,10 @@ def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
             error_bound=0.0,
             is_torsion=True,
         )
-    arch = lambda_archimedean(minimal, q)
+    minimal, q, _ = _to_minimal(curve, point)
+    arch = _lambda_inf(minimal, q.x)
     primes, rest = height_primes(minimal, q)
-    locals_ = tuple(lambda_nonarch(minimal, q, p) for p in primes)
+    locals_ = tuple(_lambda_p(minimal, q.x, p) for p in primes)
     bulk_log = 0.5 * math.log(rest)  # 0.0 when everything is itemised
     contributions = [arch.value, bulk_log] + [t.value for t in locals_]
     canonical = math.fsum(contributions)
@@ -194,8 +195,7 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is torsion")
-    two_p = curve.double(point)
-    x2 = two_p.x
+    x2 = curve._double_raw(point).x  # independent of x_after_doubling (lambda_inf)
     root = is_rational_square(x2)
     if root is None:
         return False, {}
@@ -204,7 +204,7 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
     indicator = curve.a % 16 == 4 and ord_int(x2.numerator, 2) > 0
     residues: dict[int, Fraction] = {}
     for p in bad_primes(curve):
-        lhs = lambda_nonarch(curve, two_p, p).coefficient
+        lhs = _lambda_p(curve, x2, p).coefficient
         rhs = Fraction(ord_int(delta, p)) + Fraction(ord_int(curve.discriminant, p), 12)
         if p == 2 and indicator:
             rhs -= Fraction(1, 2)

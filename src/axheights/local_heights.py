@@ -88,7 +88,6 @@ def classify_reduction(curve: Curve, p: int) -> ReductionData:
     if p == 2:
         return _classify_two(a)
     e = ord_p(a, p)
-    ord_delta = 3 * e
     if e == 0:
         return ReductionData(p, "I0", 1, 0, 1, "step 1: good reduction")
     if e == 1:
@@ -126,15 +125,13 @@ def _classify_two(a: int) -> ReductionData:
     raise AssertionError(f"unreachable 2-adic class for a = {a}")
 
 
-def _correction_odd(a: int, p: int, x: Fraction) -> tuple[Fraction, str]:
-    e = ord_int(a, p)
-    if 1 <= e <= 3 and ord_p(x, p) > 0:
+def _correction_odd(e: int, ord_x: int) -> tuple[Fraction, str]:
+    if 1 <= e <= 3 and ord_x > 0:
         return Fraction(e, 4), f"p^{e}||a, ord_p(x) > 0"
     return Fraction(0), _CORR_NONE
 
 
-def _correction_two(a: int, x: Fraction) -> tuple[Fraction, str]:
-    ord2x = ord_p(x, 2)
+def _correction_two(a: int, x: Fraction, ord2x: int) -> tuple[Fraction, str]:
     if a % 4 in (2, 3):
         # ord_2(x + a) on the literal reading: with an even denominator the
         # valuation is negative and the case cannot fire.  x + a = 0 counts
@@ -158,23 +155,24 @@ def _correction_two(a: int, x: Fraction) -> tuple[Fraction, str]:
 
 
 def lambda_nonarch(curve: Curve, point: Point, p: int) -> NonArchLocalHeight:
-    """Exact local height at a finite prime for an affine nontorsion point.
-
-    coefficient = (1/2) max(0, -ord_p(x)) + (1/12) ord_p(disc) - correction.
-    """
+    """Exact local height at a finite prime for an affine nontorsion point:
+    coefficient = (1/2) max(0, -ord_p(x)) + (1/12) ord_p(disc) - correction."""
     if not curve.is_minimal:
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is a torsion point")
-    x = point.x
-    a = curve.a
-    max_term = Fraction(max(0, -ord_p(x, p)))
-    delta_term = Fraction(ord_int(curve.discriminant, p), 12)
+    return _lambda_p(curve, point.x, p)
+
+
+def _lambda_p(curve: Curve, x: Fraction, p: int) -> NonArchLocalHeight:
+    """lambda_nonarch from a and x(P) alone, for a point the caller has checked."""
+    ord_x = ord_p(x, p)
+    ord_delta = ord_int(curve.discriminant, p)
     if p == 2:
-        correction, tag = _correction_two(a, x)
+        correction, tag = _correction_two(curve.a, x, ord_x)
     else:
-        correction, tag = _correction_odd(a, p, x)
-    coefficient = Fraction(1, 2) * max_term + delta_term - correction
+        correction, tag = _correction_odd(ord_delta // 3, ord_x)  # disc = -64 a^3
+    coefficient = Fraction(max(0, -ord_x), 2) + Fraction(ord_delta, 12) - correction
     return NonArchLocalHeight(p, coefficient, correction, tag)
 
 
@@ -251,8 +249,13 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
     """
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is a torsion point")
+    return _lambda_inf(curve, point.x)
+
+
+def _lambda_inf(curve: Curve, x: Fraction) -> ArchHeightValue:
+    """lambda_archimedean from a and x(P) alone, for a point the caller checked."""
     a = curve.a
-    x = point.x
+    series = 0.0
     if a < 0:
         # k = 0 term via x^4 z = (x^2 - a)^2; then iterate from 2P, which
         # lies on the identity component so every t_k is in (0, 1).
@@ -260,7 +263,6 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
         first = 0.25 * log_abs(x * x - a)
         x2 = x_after_doubling(a, x)
         t = math.exp(0.5 * math.log(-a) - log_abs(x2))
-        series = 0.0
         weight = 0.25
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25
@@ -268,12 +270,10 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
                 break
             series += weight * math.log1p(t * t)
             t = _step_neg(t)
-        value = first + series - log_abs(curve.discriminant) / 12.0
     else:
         la = math.log(a)
         log_u0, w = _translated_start(a, x)
         first = 0.25 * la + 0.5 * log_u0 + 0.125 * math.log(_z_pos(w))
-        series = 0.0
         weight = 0.125
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25
@@ -281,5 +281,5 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
             if w == 0.0:
                 break
             series += weight * math.log(_z_pos(w))
-        value = first + series - log_abs(curve.discriminant) / 12.0
+    value = first + series - log_abs(curve.discriminant) / 12.0
     return ArchHeightValue(value, tail_bound(DEFAULT_TERMS), DEFAULT_TERMS)

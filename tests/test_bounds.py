@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from axheights import bounds
 from axheights.arithmetic import is_fourth_power_free, isqrt_exact, ord_p, squarefree_divisors
 from axheights.bounds import (
     certify_point,
@@ -15,7 +16,7 @@ from axheights.bounds import (
     sweep,
 )
 from axheights.curve import Curve, Point, affine
-from axheights.errors import NotMinimal
+from axheights.errors import AxHeightsError, NotMinimal
 from axheights.heights import limit_oracle
 
 LOG2 = math.log(2.0)
@@ -256,6 +257,19 @@ def test_small_sweep_no_violations():
     # deterministic ordering
     keys = [(r.a, Fraction(r.x)) for r in report.rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("search_bound, workers", [(0, 1), (-1, 1), (5, 0), (5, -1), (0, 0)])
+def test_sweep_rejects_non_positive_bound_or_workers(monkeypatch, search_bound, workers):
+    # rejected before any curve is searched or any pool is started
+    def never(*args, **kwargs):
+        pytest.fail("sweep started work")
+
+    monkeypatch.setattr(bounds, "find_points", never)
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", never)
+    name = "search_bound" if search_bound < 1 else "workers"
+    with pytest.raises(AxHeightsError, match=f"{name} must be at least 1"):
+        sweep(1, 3, search_bound, workers=workers)
 
 
 def test_sweep_margins_by_class():

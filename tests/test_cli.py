@@ -280,6 +280,20 @@ def test_extremal_unknown_family(capsys):
         assert out == ""
         assert err == f"error: unknown family {family!r}\n"
 
+
+@pytest.mark.parametrize("family, param", [
+    ("lang-pos-4", 1), ("lang-neg-3", 0),
+    ("diff-lower-pos", 5), ("diff-lower-neg", 5), ("diff-upper", 5),
+])
+def test_extremal_family_name_round_trips(capsys, family, param):
+    code, out, _ = run(capsys, "extremal", "--family", family, "--param", str(param))
+    assert code == 0
+    printed = json.loads(out)["family"]
+    assert printed == family
+    code, again, _ = run(capsys, "extremal", "--family", printed, "--param", str(param))
+    assert code == 0 and again == out
+
+
 def test_extremal_certify(capsys):
     code, out, _ = run(
         capsys, "extremal", "--family", "lang-pos-4", "--param", "1", "--certify"

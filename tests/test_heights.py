@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from axheights import bounds
 from axheights.curve import INFINITY, Curve, affine
 from axheights.errors import DepthExceeded, InfinityPoint, NotOnCurve, TorsionPoint
 from axheights.heights import (
@@ -16,7 +17,7 @@ from axheights.heights import (
     naive_height,
     nonarch_sum_identity,
 )
-from axheights.local_heights import bad_primes
+from axheights.local_heights import bad_primes, lambda_archimedean, lambda_nonarch
 
 
 @pytest.mark.parametrize(
@@ -44,6 +45,19 @@ def test_canonical_height_torsion_is_zero():
     assert bd.nonarch_terms == ()
     assert canonical_height(Curve(4), INFINITY).canonical == 0.0
     assert canonical_height(Curve(-9), affine(3, 0)).canonical == 0.0
+
+
+@pytest.mark.parametrize("a,pt", [
+    (64, (0, 0)), (64, (8, 32)), (64, (8, -32)),
+    (324, (18, 108)), (324, (18, -108)),
+    (-64, (8, 0)), (-64, (-8, 0)),
+])
+def test_canonical_height_torsion_on_non_minimal_model(a, pt):
+    # torsion is tested on the given model, not on the minimal image
+    bd = canonical_height(Curve(a), affine(*pt))
+    assert bd.is_torsion
+    assert bd.canonical == 0.0
+    assert bd.nonarch_terms == ()
 
 
 def test_canonical_height_not_on_curve():
@@ -219,3 +233,44 @@ def test_canonical_height_itemises_height_primes(a, pt):
         bd = canonical_height(curve, point)
         assert [t.prime for t in bd.nonarch_terms] == primes
         assert bd.bulk_denominator_log == 0.5 * math.log(rest)
+
+
+@pytest.fixture
+def contains_calls(monkeypatch):
+    """A list that counts every Curve.contains call from here on."""
+    calls = []
+    original = Curve.contains
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(Curve, "contains", counting)
+    return calls
+
+
+def test_each_point_is_checked_once(contains_calls):
+    # a = 3 itemises 2 and 3 at least; the local heights check nothing
+    curve, point = Curve(3), affine(1, 2)
+    assert len(height_primes(curve, point)[0]) >= 2
+    contains_calls.clear()
+    canonical_height(curve, point)
+    assert len(contains_calls) == 1
+    contains_calls.clear()
+    bounds.certify_point(curve, point)
+    assert len(contains_calls) == 2  # the height, then the B2 check
+    contains_calls.clear()
+    nonarch_sum_identity(curve, point)
+    assert len(contains_calls) == 1
+
+
+@pytest.mark.parametrize("a,pt", [(a, pt) for a, pt, _ in _FROZEN])
+def test_public_local_heights_match_the_breakdown(a, pt):
+    curve = Curve(a)
+    for k in range(1, 30):
+        point = curve.multiply(k, affine(*pt))
+        minimal, q, _ = _to_minimal(curve, point)
+        bd = canonical_height(curve, point)
+        assert lambda_archimedean(minimal, q) == bd.archimedean
+        primes, _ = height_primes(minimal, q)
+        assert tuple(lambda_nonarch(minimal, q, p) for p in primes) == bd.nonarch_terms
