@@ -39,7 +39,7 @@ from .errors import (
     NotOnCurve,
     RowValidationFailed,
 )
-from .families import family_diff, family_lang_neg, family_lang_pos
+from .families import FAMILIES
 from .heights import MAX_DOUBLINGS, HeightBreakdown, canonical_height, limit_oracle
 from .local_heights import bad_primes, classify_reduction
 
@@ -104,8 +104,10 @@ def _checks_exit(checks) -> int:
 def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
 def _point(args) -> Point:
@@ -337,19 +339,10 @@ def cmd_sweep(args) -> int:
     return _checks_exit(c for row in report.rows for c in row.checks)
 
 
-#: the kind family_diff builds for each difference family name
-_DIFF_FAMILIES = {"diff-lower-pos": "lower_pos", "diff-lower-neg": "lower_neg",
-                  "diff-upper": "upper"}
-
-
 def _extremal_candidate(family: str, param: int):
-    prefix, _, residue = family.rpartition("-")
-    if prefix in ("lang-pos", "lang-neg") and residue.isdecimal():
-        build = family_lang_pos if prefix == "lang-pos" else family_lang_neg
-        return build(int(residue), param)
-    if family in _DIFF_FAMILIES:
-        return family_diff(_DIFF_FAMILIES[family], param)
-    raise AxHeightsError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise AxHeightsError(f"unknown family {family!r}")
+    return FAMILIES[family](param)
 
 
 def cmd_extremal(args) -> int:
@@ -484,6 +477,19 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # lift the int/str digit limit (Python >= 3.10.7) for this run only, so
+    # that coordinates of any size parse and print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:

@@ -1,16 +1,17 @@
 """Extremal families whose heights approach the sharp bounds.
 
 For a > 0 the candidates come from a 15-row table of polynomial families
-(one per residue of a mod 16); each row is data plus a mandatory on-curve
-validation, and a row that fails validation raises RowValidationFailed
-rather than returning a bogus point.  For a < 0 the families come from
-Pell-type recurrences: a is built from a recurrence term c (or d), the
-target x(2P) is c^2/4, c^2/16 or d^2, and the point itself is recovered by
-exact point-halving.  The difference families are closed-form identities.
+(one per residue of a mod 16); a row whose x has no rational y raises
+RowValidationFailed rather than returning a bogus point.  For a < 0 the
+families come from Pell-type recurrences: a is built from a recurrence term
+c (or d), the target x(2P) is c^2/4, c^2/16 or d^2, and the point itself is
+recovered by exact point-halving.  The difference families are closed-form
+identities.  FAMILIES names every family once, with its builder.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,24 +25,23 @@ _REDERIVE_HINT = (
 )
 
 
-def pell_c(n: int) -> int:
-    """c_0 = c_1 = 1, c_n = 2 c_{n-1} + c_{n-2} (half-companion Pell)."""
+def _pell(n: int, u0: int, u1: int) -> int:
+    """u_n of the recurrence u_n = 2 u_{n-1} + u_{n-2} from u_0 and u_1."""
     if n < 0:
         raise ZeroInput("index must be nonnegative")
-    a, b = 1, 1
     for _ in range(n):
-        a, b = b, 2 * b + a
-    return a
+        u0, u1 = u1, 2 * u1 + u0
+    return u0
+
+
+def pell_c(n: int) -> int:
+    """c_0 = c_1 = 1, c_n = 2 c_{n-1} + c_{n-2} (half-companion Pell)."""
+    return _pell(n, 1, 1)
 
 
 def pell_d(n: int) -> int:
     """d_0 = 0, d_1 = 1, d_n = 2 d_{n-1} + d_{n-2} (Pell numbers)."""
-    if n < 0:
-        raise ZeroInput("index must be nonnegative")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, 2 * b + a
-    return a
+    return _pell(n, 0, 1)
 
 
 def pell_d_certificate(d: int) -> int | None:
@@ -134,18 +134,16 @@ def family_lang_pos(residue: int, a1: int) -> ExtremalCandidate:
             f"{family}(a1={a1}): candidate x = {x} on a = {a} has no rational y; "
             + _REDERIVE_HINT
         )
-    point = affine(x, y)
-    if not Curve(a).contains(point):
-        raise RowValidationFailed(f"{family}(a1={a1}): point {point} not on curve")
-    return ExtremalCandidate(family, a1, a, point, None, True)
+    return ExtremalCandidate(family, a1, a, affine(x, y), None, True)
 
 
 def family_lang_neg(residue: int, n: int) -> ExtremalCandidate:
     """Candidate near the a < 0 lower bound for the given residue class.
 
     Builds a and the target x(2P) from the recurrence row, then halves the
-    target exactly.  NoRationalHalf signals an index whose Pell condition
-    fails; RowValidationFailed a candidate that does not check out.
+    target exactly; halve_point returns only points on the curve whose
+    double has x = target, so the candidate needs no second check.
+    NoRationalHalf signals an index whose Pell condition fails.
     """
     if residue not in _LANG_NEG_ROWS:
         raise ZeroInput(f"residue must be 1..15, got {residue}")
@@ -174,16 +172,10 @@ def family_lang_neg(residue: int, n: int) -> ExtremalCandidate:
         target = Fraction(c * c, xdiv)
     if a >= 0:
         raise NoRationalHalf(f"{family}(n={n}): degenerate index, a = {a} >= 0")
-    curve = Curve(a)
-    halves = halve_point(curve, target)
+    halves = halve_point(Curve(a), target)
     if not halves:
         raise NoRationalHalf(f"{family}(n={n}): x(2P) = {target} has no rational half")
     point = max(halves, key=lambda p: p.x)
-    if not curve.contains(point) or curve.double(point).x != target:
-        raise RowValidationFailed(
-            f"{family}(n={n}): halving produced {point} but validation failed; "
-            + _REDERIVE_HINT
-        )
     return ExtremalCandidate(family, n, a, point, target, True)
 
 
@@ -211,6 +203,17 @@ def family_diff(kind: str, a1: int) -> ExtremalCandidate:
     if not Curve(a).contains(point):
         raise RowValidationFailed(f"{family}(a1={a1}): {point} not on curve")
     return ExtremalCandidate(family, a1, a, point, None, True)
+
+
+#: every name `extremal --family` accepts, mapped to its one-parameter builder;
+#: the lambdas look each builder up when called, so a wrapped builder runs
+FAMILIES: dict[str, Callable[[int], ExtremalCandidate]] = {
+    **{f"lang-pos-{r}": (lambda a1, r=r: family_lang_pos(r, a1)) for r in _LANG_POS_ROWS},
+    **{f"lang-neg-{r}": (lambda n, r=r: family_lang_neg(r, n)) for r in _LANG_NEG_ROWS},
+    "diff-lower-pos": lambda a1: family_diff("lower_pos", a1),
+    "diff-lower-neg": lambda a1: family_diff("lower_neg", a1),
+    "diff-upper": lambda a1: family_diff("upper", a1),
+}
 
 
 def halve_point(curve: Curve, xi: Fraction | int) -> list[Point]:

@@ -152,11 +152,46 @@ def test_malformed_rational_exits_2(capsys):
         main(["height", "--a", "3", "--x", "0.5", "--y", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "--a", "3", "--x", "1/0", "--y", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --x: zero denominator in '1/0'\n")
     # a library error with no exit code of its own is a usage error too
     code, out, err = run(capsys, "height", "--a", "0", "--x", "1", "--y", "1")
     assert code == 2
     assert out == ""
     assert err == "error: a must be nonzero (a = 0 is singular for heights)\n"
+
+
+def _digits(value: Fraction) -> str:
+    """str(value) with Python's int/str digit limit lifted for the call."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", ["height", "verify"])
+def test_huge_coordinates(capsys, command):
+    # 2^7 P for P = (1, 2) on a = 3: y has a 5,349-digit numerator, past the
+    # 4,300 digits Python converts by default
+    curve, point = Curve(3), affine(1, 2)
+    for _ in range(7):
+        point = curve.double(point)
+    x, y = _digits(point.x), _digits(point.y)
+    assert len(y) > 5000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, command, "--a", "3", "--x", x, "--y", y, "--json")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["x"], doc["y"]) == (x, y)
 
 
 def test_factoring_budget_exits_10(capsys, monkeypatch):
@@ -239,6 +274,14 @@ def test_sweep_non_positive_bound_or_workers_exits_2(tmp_path, capsys, monkeypat
     assert f"{flag} must be at least 1" in err
 
 
+def test_sweep_empty_range_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("sweep was called"))
+    code, out, err = run(capsys, "sweep", "--amin", "5", "--amax", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --amin must be <= --amax\n"
+
+
 def test_config_matches_flag(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"depth": 8}))
@@ -274,7 +317,9 @@ def test_extremal_commands(capsys):
 
 
 def test_extremal_unknown_family(capsys):
-    for family in ("bogus", "lang-pos-x"):
+    # a name is known only as FAMILIES spells it: no residue outside the
+    # tables and no leading zero
+    for family in ("bogus", "lang-pos-x", "lang-pos-16", "lang-neg-0", "lang-pos-07"):
         code, out, err = run(capsys, "extremal", "--family", family, "--param", "1")
         assert code == 2
         assert out == ""

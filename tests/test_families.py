@@ -6,6 +6,7 @@ import pytest
 from axheights.curve import Curve, affine
 from axheights.errors import NoRationalHalf, RowValidationFailed
 from axheights.families import (
+    FAMILIES,
     family_diff,
     family_lang_neg,
     family_lang_pos,
@@ -67,6 +68,29 @@ def test_halve_point_inverts_doubling_fuzz():
                 assert curve.double(h).x == q.x
             checked += 1
     assert checked > 40
+
+
+def test_every_registered_family_builds_under_its_name():
+    # the registry holds each --family name once; each builder names its
+    # candidate by its key, or raises the error documented for its row
+    assert set(FAMILIES) == (
+        {f"lang-pos-{r}" for r in range(1, 16)}
+        | {f"lang-neg-{r}" for r in range(1, 16)}
+        | {"diff-lower-pos", "diff-lower-neg", "diff-upper"}
+    )
+    for name, build in FAMILIES.items():
+        if name.startswith("lang-pos-"):
+            param = 1
+        elif name.startswith("lang-neg-"):
+            param = 2 if name == "lang-neg-4" else 0
+        else:
+            param = 5
+        if name in ("lang-pos-1", "lang-pos-11"):
+            with pytest.raises(RowValidationFailed):
+                build(param)
+            continue
+        cand = build(param)
+        assert (cand.family, cand.parameter) == (name, param)
 
 
 def test_family_lang_pos_residue4():
