@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -331,7 +332,7 @@ class SweepReport:
     a_max: int
     search_bound: int
     rows: list[SweepRow] = field(default_factory=list)
-    torsion_rows: list[dict] = field(default_factory=list)
+    torsion_points: int = 0
     curves_scanned: int = 0
     skipped: list[int] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
@@ -358,17 +359,16 @@ class SweepReport:
         return out
 
 
-def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
-    """Certify every point found on one fourth-power-free curve."""
+def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], int]:
+    """Certify every point found on one fourth-power-free curve: the rows
+    of its nontorsion points, and how many torsion points it found."""
     curve = Curve(a)
     rows: list[SweepRow] = []
-    torsion_rows: list[dict] = []
+    torsion = 0
     for point in find_points(curve, search_bound):
         checks, bd = _certify(curve, point)
         if bd.is_torsion:
-            torsion_rows.append(
-                {"a": a, "x": str(point.x), "y": str(point.y), "difference": bd.difference}
-            )
+            torsion += 1
             continue
         # the identity answers (False, {}) exactly when x(2P) is not a square
         identity_ok, residues = nonarch_sum_identity(curve, point)
@@ -384,15 +384,19 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], list[dict]]:
                 checks=tuple(checks),
             )
         )
-    return rows, torsion_rows
+    return rows, torsion
+
+
+#: curves per pool task; a worker takes whole chunks, so more workers than chunks idle
+_CHUNK = 8
 
 
 def _sweep_curve_task(args):
     a, bound = args
     try:
         return sweep_curve(a, bound), None
-    except Exception as exc:  # pragma: no cover - defensive per-curve isolation
-        return ([], []), f"a={a}: {exc!r}"
+    except Exception as exc:  # defensive per-curve isolation
+        return ([], 0), f"a={a}: {exc!r}"
 
 
 def sweep(
@@ -409,6 +413,10 @@ def sweep(
     order, which is ascending a, from pool.map and from the serial loop
     alike, and find_points returns each curve's points sorted by x; so the
     worker count never changes the output.
+
+    The process count is workers (None: the pool's own default, the CPUs
+    this process may use) capped at the number of chunks of _CHUNK curves;
+    when that count is 1 the sweep runs in-process.
     """
     for name, value in (("search_bound", search_bound), ("workers", workers)):
         if value is not None and value < 1:
@@ -424,19 +432,21 @@ def sweep(
         targets.append(a)
     report.curves_scanned = len(targets)
     tasks = [(a, search_bound) for a in targets]
+    if workers is None:
+        workers = getattr(os, "process_cpu_count", os.cpu_count)() or 1
+    workers = min(workers, -(-len(tasks) // _CHUNK))
     results = None
-    if workers is None or workers > 1:
+    if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_curve_task, tasks, chunksize=8))
+                results = list(pool.map(_sweep_curve_task, tasks, chunksize=_CHUNK))
         except OSError as exc:  # pragma: no cover
             logger.warning("process pool unavailable (%s); running serially", exc)
-            results = None
     if results is None:
         results = [_sweep_curve_task(t) for t in tasks]
-    for (rows, torsion_rows), failure in results:
+    for (rows, torsion), failure in results:
         report.rows.extend(rows)
-        report.torsion_rows.extend(torsion_rows)
+        report.torsion_points += torsion
         if failure:
             report.failures.append(failure)
     return report

@@ -22,7 +22,9 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -287,7 +289,7 @@ def _sweep_document(report: SweepReport) -> dict:
         "search_bound": report.search_bound,
         "curves_scanned": report.curves_scanned,
         "points_certified": len(report.rows),
-        "torsion_points": len(report.torsion_rows),
+        "torsion_points": report.torsion_points,
         "skipped_non_minimal": report.skipped,
         "rows": [_sweep_row_record(r) for r in report.rows],
         "min_lang_margin_by_class": {
@@ -312,8 +314,10 @@ def cmd_sweep(args) -> int:
     if args.amin > args.amax:
         print("error: --amin must be <= --amax", file=sys.stderr)
         return EXIT_USAGE
-    try:  # opened before the sweep, so that an unwritable path costs no search
-        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else None
+    # opened before the sweep, so that an unwritable path costs no search, and
+    # truncated only to write the report, so that a failed sweep keeps the file
+    try:
+        out = open(args.out, "a", newline="", encoding="utf-8") if args.out else None
     except OSError as exc:
         raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     with out or contextlib.nullcontext():
@@ -321,6 +325,8 @@ def cmd_sweep(args) -> int:
         doc = _sweep_document(report)
         if out:
             try:
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # not a pipe or a device
+                    out.truncate(0)
                 if args.out.endswith(".csv"):
                     _write_sweep_csv(report, out)
                 else:
@@ -431,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-bound", type=int, default=None)
     p.add_argument("--out", help="output path (.csv or .json)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: available parallelism)")
+                   help="most processes to use, at most one per 8-curve chunk; 8 "
+                        "curves or fewer run in-process (default: available parallelism)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("extremal", help="generate a near-extremal family candidate")
@@ -503,6 +510,9 @@ def _run(argv: list[str] | None) -> int:
             setattr(args, key, config.get(key, default))
     if getattr(args, "depth", None) is not None and not (1 <= args.depth <= MAX_DOUBLINGS):
         parser.error(f"--depth must be in 1..{MAX_DOUBLINGS}")
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not (0 < tolerance < math.inf):  # NaN fails too
+        parser.error("--tolerance must be a positive finite number")
     for key in ("search_bound", "workers"):
         if getattr(args, key, None) is not None and getattr(args, key) < 1:
             parser.error(f"--{key.replace('_', '-')} must be at least 1")

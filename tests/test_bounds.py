@@ -282,7 +282,80 @@ def test_sweep_worker_count_never_changes_output():
     serial = sweep(-10, 10, search_bound=40, workers=1)
     parallel = sweep(-10, 10, search_bound=40, workers=2)
     assert serial.rows == parallel.rows
-    assert serial.torsion_rows == parallel.torsion_rows
+    assert serial.torsion_points == parallel.torsion_points
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Stand in for the sweep's process pool: map runs in this process, and
+    the max_workers of every pool the sweep opens is recorded."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "a_min, a_max, workers, pool",
+    [
+        (1, 3, 1000, None),  # one chunk runs in-process
+        (1, 3, None, None),
+        (-200, 200, 1000, 47),  # 372 curves make 47 chunks of 8
+        (-200, 200, 2, 2),
+        (-200, 200, None, 5),  # the CPUs this process may use, 5 here
+    ],
+)
+def test_sweep_pool_size_follows_its_work(monkeypatch, fake_pool, a_min, a_max, workers, pool):
+    serial = sweep(a_min, a_max, 5, workers=1)
+    assert fake_pool == []
+    for name in ("cpu_count", "process_cpu_count"):
+        monkeypatch.setattr(bounds.os, name, lambda: 5, raising=False)
+    assert sweep(a_min, a_max, 5, workers=workers) == serial
+    assert fake_pool == ([] if pool is None else [pool])
+
+
+def test_sweep_counts_torsion_points():
+    bound = 20
+    report = sweep(-40, 40, bound, workers=1)
+    expected = sum(
+        sum(1 for p in find_points(Curve(a), bound) if Curve(a).is_torsion(p))
+        for a in range(-40, 41)
+        if a != 0 and is_fourth_power_free(a)
+    )
+    assert expected > 0
+    assert report.torsion_points == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_isolates_a_failing_curve(monkeypatch, fake_pool, workers):
+    # 19 curves in 3 chunks, so workers=2 takes the pool path
+    clean = sweep(1, 20, 5, workers=1)
+    original = bounds.sweep_curve
+
+    def fail_on_2(a, search_bound):
+        if a == 2:
+            raise ValueError("boom")
+        return original(a, search_bound)
+
+    monkeypatch.setattr(bounds, "sweep_curve", fail_on_2)
+    report = sweep(1, 20, 5, workers=workers)
+    assert fake_pool == ([] if workers == 1 else [2])
+    assert report.failures == ["a=2: ValueError('boom')"]
+    assert report.rows == [r for r in clean.rows if r.a != 2]
+    assert report.torsion_points == clean.torsion_points - original(2, 5)[1]
 
 
 def test_sweep_oracle_envelope(acceptance_sweep):

@@ -224,6 +224,25 @@ def test_oracle_exit_codes(capsys):
     assert code == 9
 
 
+@pytest.mark.parametrize("source, value", [
+    ("flag", "nan"), ("flag", "inf"), ("flag", "0"), ("flag", "-1"), ("config", "NaN"),
+])
+def test_oracle_tolerance_must_be_positive_finite(tmp_path, capsys, source, value):
+    argv = ["oracle", "--a", "3", "--x", "1", "--y", "2"]
+    if source == "flag":
+        argv.append(f"--tolerance={value}")
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"tolerance": {value}}}')  # json.load reads NaN
+        argv = ["--config", str(path), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--tolerance must be a positive finite number" in err
+
+
 def test_oracle_depth_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--a", "3", "--x", "1", "--y", "2", "--depth", "20"])
@@ -434,6 +453,24 @@ def test_sweep_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, suffix):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+def test_failed_sweep_leaves_out_untouched(tmp_path, capsys, monkeypatch, suffix):
+    def give_up(*args, **kwargs):
+        raise FactorizationBudgetExceeded("gave up factoring 300000000000000001940000000000000002091")
+
+    monkeypatch.setattr(cli, "sweep", give_up)
+    path = tmp_path / f"keep.{suffix}"
+    path.write_bytes(b'{"an earlier": "report"}\n')
+    code, out, err = run(
+        capsys, "sweep", "--amin", "1", "--amax", "3", "--search-bound", "3",
+        "--workers", "1", "--out", str(path),
+    )
+    assert code == 10
+    assert out == ""
+    assert err.startswith("error: gave up factoring")
+    assert path.read_bytes() == b'{"an earlier": "report"}\n'
 
 
 @pytest.mark.parametrize(
