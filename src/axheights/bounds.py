@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arithmetic import (
+    factorize,
     fourth_power_free_part,
     is_fourth_power_free,
     isqrt_exact,
@@ -28,8 +29,7 @@ from .curve import Curve, Point
 from .errors import AxHeightsError, NotMinimal
 from .heights import (
     HeightBreakdown,
-    _to_minimal,
-    canonical_height,
+    _height_on_minimal,
     denominator_sequence,
     nonarch_sum_identity,
 )
@@ -187,7 +187,7 @@ def certify_point(curve: Curve, point: Point) -> list[BoundCheck]:
 def _certify(curve: Curve, point: Point) -> tuple[list[BoundCheck], HeightBreakdown]:
     """The checks of certify_point together with the height breakdown they
     were read from."""
-    bd = canonical_height(curve, point)
+    bd, minimal, q = _height_on_minimal(curve, point)
     err = bd.error_bound
     db = diff_bounds(curve.a)
     diff = bd.difference
@@ -198,7 +198,6 @@ def _certify(curve: Curve, point: Point) -> tuple[list[BoundCheck], HeightBreakd
     ]
     if bd.is_torsion:
         return checks, bd
-    minimal, q, _ = _to_minimal(curve, point)
     lang = lang_lower_bound(minimal.a)
     cor = corollary_bound(curve.a)
     checks = [
@@ -238,6 +237,71 @@ def _sieve_tables(search_bound: int):
     return coprime, tuple(sieves)
 
 
+def _is_residue(c: int, k: int, p: int) -> bool:
+    """Whether c, prime to the odd prime p, is a k-th power mod p."""
+    return pow(c, (p - 1) // math.gcd(k, p - 1), p) == 1
+
+
+def _soluble_at_odd(b1: int, b2: int, p: int, k: int) -> bool:
+    """Whether N^2 = b1 M^4 + b2 e^4 has a point over Q_p with M, e coprime
+    p-adic integers, for an odd prime p with k = ord_p(b1 b2) <= 3.
+
+    b1 is squarefree, so alpha = ord_p b1 <= 1 and beta = ord_p b2 = k - alpha;
+    u1, u2 are the unit parts.  A unit square mod p lifts by Hensel.
+    """
+    alpha = int(b1 % p == 0)
+    beta = k - alpha
+    u1, u2 = b1 // p**alpha, b2 // p**beta
+    if alpha == 0:
+        # p !| M: N^2 = u1 M^4 mod p.  p | M, so e is a unit: ord_p of the
+        # right side is beta, which must be even, so beta = 2 and u2 a square
+        return _is_residue(u1, 2, p) or (beta == 2 and _is_residue(u2, 2, p))
+    if beta == 1:
+        # p | N, and then p divides neither M nor e: u1 M^4 = -u2 e^4 mod p
+        return _is_residue(-u2 * pow(u1, -1, p), 4, p)
+    # beta = 0: p | e would leave ord_p of the right side 1, so N^2 = u2 e^4
+    # mod p.  beta = 2: p | N forces p | M, and then N^2/p^2 = u2 e^4 mod p
+    return _is_residue(u2, 2, p)
+
+
+@functools.lru_cache(maxsize=None)  # 16 values of r1 times 48 of r2 at most
+def _soluble_mod_256(r1: int, r2: int) -> bool:
+    """Whether N^2 = r1 M^4 + r2 e^4 mod 256 has a solution with M or e odd."""
+    squares = {i * i % 256 for i in range(128)}
+    odd, even = range(1, 256, 16), (0, 16)  # M^4 mod 256 for M odd, M even
+    return any(
+        (r1 * f + r2 * g) % 256 in squares
+        for fs, gs in ((odd, odd), (odd, even), (even, odd))
+        for f in fs
+        for g in gs
+    )
+
+
+def _soluble_at_2(b1: int, b2: int) -> bool:
+    """A necessary condition for a point over Q_2 with M, e coprime: a
+    solution mod 256 with M or e odd.
+
+    Odd fourth powers are the units 1 mod 16, so b M^4 mod 256 ranges over
+    b's class mod 2^(ord_2 b + 4) (b & -b is 2^(ord_2 b)); those classes,
+    capped at 256, decide the test and key its memo.
+    """
+    return _soluble_mod_256(b1 % min(16 * (b1 & -b1), 256), b2 % min(16 * (b2 & -b2), 256))
+
+
+def _locally_soluble(a: int, b1: int) -> bool:
+    """False only when the descent quartic N^2 = b1 M^4 + (a/b1) e^4 has no
+    point over Q_p for some p | 2a, so no rational point either.
+
+    The odd primes come first, each by the closed forms of _soluble_at_odd;
+    one with ord_p a >= 4 (a not fourth-power-free) is not tested.  Then 2.
+    """
+    b2 = a // b1
+    for p, k in factorize(a).items():
+        if p > 2 and k <= 3 and not _soluble_at_odd(b1, b2, p, k):
+            return False
+    return _soluble_at_2(b1, b2)
+
+
 def find_points(curve: Curve, search_bound: int) -> list[Point]:
     """Affine points found by the descent shape of a rational point.
 
@@ -247,6 +311,12 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
     a and M, e up to the bound, so the search is exhaustive up to the box;
     x is then in lowest terms, so no x is found twice.  Returns nontorsion
     and torsion points alike, with y >= 0, sorted by x.
+
+    A quartic with no point over Q_p for some p | 2a is skipped whole
+    (_locally_soluble): a rational point is a point over every Q_p, so no
+    point is lost.  For a fourth-power-free a the classes b1 that remain
+    form a 2-isogeny Selmer group (Silverman, AEC, Prop. X.4.9; Cremona,
+    Algorithms for Modular Elliptic Curves, section 3.6).
 
     For each (b1, e) the candidate M form a bitmask over [1, bound], cut
     before any square root is taken:
@@ -265,6 +335,8 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
     for d in squarefree_divisors(a):
         # for a > 0 a negative b1 makes b2 negative too, and N^2 < 0
         for b1 in (d, -d) if a < 0 else (d,):
+            if not _locally_soluble(a, b1):
+                continue
             b2 = a // b1
             # per modulus, the mask allowed by each residue of b2*e^4 mod q
             allowed: list[dict[int, int]] = [{} for _ in sieves]

@@ -113,6 +113,14 @@ def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
     report canonical height 0 with an empty breakdown.  Any other point maps
     through (x, y) -> (x/s^2, y/s^3) to the minimal model.
     """
+    return _height_on_minimal(curve, point)[0]
+
+
+def _height_on_minimal(
+    curve: Curve, point: Point
+) -> tuple[HeightBreakdown, Curve | None, Point | None]:
+    """canonical_height with the minimal model and P's image on it, which
+    the height was computed on; (None, None) for a torsion point."""
     naive = 0.0 if point.is_infinity else naive_height(point)
     if curve.is_torsion(point):
         return HeightBreakdown(
@@ -123,7 +131,7 @@ def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
             difference=naive / 2.0,
             error_bound=0.0,
             is_torsion=True,
-        )
+        ), None, None
     minimal, q, _ = _to_minimal(curve, point)
     arch = _lambda_inf(minimal, q.x)
     primes, rest = height_primes(minimal, q)
@@ -141,7 +149,7 @@ def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
         difference=naive / 2.0 - canonical,
         error_bound=error,
         bulk_denominator_log=bulk_log,
-    )
+    ), minimal, q
 
 
 def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:

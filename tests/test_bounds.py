@@ -102,6 +102,23 @@ def test_certify_non_minimal_model_matches_minimal():
     assert scaled == keyed(certify_point(Curve(3), affine(1, 2)))
 
 
+@pytest.mark.parametrize("a, pt", [(48, (4, 16)), (3, (1, 2)), (4, (2, 4))])
+def test_certify_maps_to_the_minimal_model_once(monkeypatch, a, pt):
+    # the height and the Lang and B2 checks share one image on the minimal
+    # model; a torsion point (2, 4) on a = 4 needs none
+    calls = []
+    minimalize = Curve.minimalize
+
+    def counted(curve):
+        calls.append(curve.a)
+        return minimalize(curve)
+
+    monkeypatch.setattr(Curve, "minimalize", counted)
+    expected = [] if Curve(a).is_torsion(affine(*pt)) else [a]
+    certify_point(Curve(a), affine(*pt))
+    assert calls == expected
+
+
 def test_certify_torsion_point():
     checks = certify_point(Curve(4), affine(2, 4))
     assert {c.theorem for c in checks} == {"DiffUpper", "DiffLowerSqrt", "DiffLowerConst"}
