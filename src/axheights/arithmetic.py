@@ -120,8 +120,6 @@ def _factorize_cached(n: int, budget: int) -> tuple[tuple[int, int], ...]:
         stack = [n]
         while stack:
             m = stack.pop()
-            if m == 1:
-                continue
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
@@ -226,9 +224,10 @@ def squarefree_divisors(n: int) -> list[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or an integer literal; decimal-point input is rejected."""
+    """Parse ``p/q`` or an integer literal; decimal-point and exponent input
+    (``0.5``, ``1e3``) is rejected."""
     text = text.strip()
-    if "." in text:
+    if "." in text or "e" in text.lower():
         raise ValueError(f"decimal input {text!r} not accepted; use p/q")
     return Fraction(text)
 

@@ -38,30 +38,22 @@ logger = logging.getLogger(__name__)
 
 LOG2 = math.log(2.0)
 
-#: Residue classes of a mod 16 grouped as the bound constants group them.
-GROUP_ODD = frozenset({1, 5, 7, 9, 13, 15})
-GROUP_EVEN = frozenset({2, 3, 6, 8, 10, 11, 12, 14})
-GROUP_FOUR = frozenset({4})
-
-#: log(2)-coefficients of the lower-bound constant, by (sign, group).
-_LANG_CONSTANTS = {
-    ("pos", "g1"): Fraction(1, 2),
-    ("pos", "g2"): Fraction(1, 4),
-    ("pos", "g4"): Fraction(-1, 8),
-    ("neg", "g1"): Fraction(9, 16),
-    ("neg", "g2"): Fraction(5, 16),
-    ("neg", "g4"): Fraction(-1, 16),
+#: The paper's classes of a mod 16, one row per group: the residues, the
+#: log(2)-coefficient c of the Lang bound for a > 0 and for a < 0, and the B2
+#: bound on ord_2 of the denominator of x(2P).  No group holds 0: a
+#: fourth-power-free a is never 0 mod 16.
+_CLASSES = {
+    "g1": ((1, 5, 7, 9, 13, 15), Fraction(1, 2), Fraction(9, 16), 4),
+    "g2": ((2, 3, 6, 8, 10, 11, 12, 14), Fraction(1, 4), Fraction(5, 16), 2),
+    "g4": ((4,), Fraction(-1, 8), Fraction(-1, 16), 0),
 }
 
 
 def residue_group(a: int) -> str:
-    r = a % 16
-    if r in GROUP_ODD:
-        return "g1"
-    if r in GROUP_EVEN:
-        return "g2"
-    if r in GROUP_FOUR:
-        return "g4"
+    """The group of _CLASSES that holds a mod 16."""
+    for group, (residues, *_) in _CLASSES.items():
+        if a % 16 in residues:
+            return group
     raise NotMinimal(f"a = {a} is 0 mod 16, impossible for fourth-power-free a")
 
 
@@ -128,9 +120,9 @@ def lang_lower_bound(a: int) -> LangBound:
     """The sharp lower bound for hhat of a nontorsion point on a minimal model."""
     if a == 0 or not is_fourth_power_free(a):
         raise NotMinimal(f"a = {a} is not a nonzero fourth-power-free integer")
-    sign = "pos" if a > 0 else "neg"
     group = residue_group(a)
-    constant = _LANG_CONSTANTS[(sign, group)]
+    _, c_pos, c_neg, _ = _CLASSES[group]
+    sign, constant = ("pos", c_pos) if a > 0 else ("neg", c_neg)
     bound = math.log(abs(a)) / 16.0 + float(constant) * LOG2
     return LangBound(a=a, class_tag=f"{sign}-{group}", constant=constant, bound=bound)
 
@@ -157,7 +149,7 @@ def diff_bounds(a: int) -> DiffBounds:
 def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
     """ord_2 of the denominator of x(2P) against its residue-class bound.
 
-    The class bound is 4 / 2 / 0 for the three groups of a mod 16.  When
+    The class bound is the B2 entry of the group of a in _CLASSES.  When
     a != 4 mod 16 or ord_2(x(P)) != 1, additionally require
     ord_2(B_2) >= ord_2(B_1) + 2.  For a = 4 mod 16 the step rests on an
     even ord_2(x), and ord_2(x) is 1 or even: with x = b1 M^2/e^2 as in
@@ -166,7 +158,7 @@ def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
     """
     b1, b2 = denominator_sequence(curve, point, 2)
     group = residue_group(curve.a)
-    class_bound = {"g1": 4, "g2": 2, "g4": 0}[group]
+    *_, class_bound = _CLASSES[group]
     stated = group != "g4" or ord_p(point.x, 2) != 1
     note = f"ord2(B1)={b1.ord2_B}, ord2(B2)={b2.ord2_B}, step_required={stated}"
     ok = b2.ord2_B >= class_bound and ((not stated) or b2.ord2_B >= b1.ord2_B + 2)

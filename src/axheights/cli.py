@@ -112,13 +112,9 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
-def _point(args) -> Point:
-    return Point(args.x, args.y)
-
-
 def _load_config(path: str | None) -> dict:
-    """The JSON object at path; each key must be one of _CONFIG_DEFAULTS and
-    each value one that the matching flag accepts, else ValueError."""
+    """The JSON object at path; each key must be one of _CONFIG and each
+    value one that the matching flag accepts, else ValueError."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as handle:
@@ -126,9 +122,9 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise ValueError("not a JSON object")
     for key, value in config.items():
-        if key not in _CONFIG_DEFAULTS:
+        if key not in _CONFIG:
             raise ValueError(f"unknown key {key!r}")
-        kind, types = _CONFIG_TYPES[key]
+        _, kind, types = _CONFIG[key]
         if type(value) not in types:
             raise ValueError(f"{key} = {json.dumps(value)} is not {kind}")
     return config
@@ -206,7 +202,7 @@ def _height_document(
 def cmd_height(args) -> int:
     started = time.perf_counter()
     curve = Curve(args.a)
-    point = _point(args)
+    point = Point(args.x, args.y)
     bd = canonical_height(curve, point)
     doc = _height_document(curve, point, bd, "height", started)
     if args.json:
@@ -232,7 +228,7 @@ def cmd_height(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     curve = Curve(args.a)
-    point = _point(args)
+    point = Point(args.x, args.y)
     checks, bd = _certify(curve, point)
     doc = _height_document(curve, point, bd, "verify", started)
     doc["checks"] = [_check_dict(c) for c in checks]
@@ -376,7 +372,7 @@ def cmd_extremal(args) -> int:
 
 def cmd_oracle(args) -> int:
     curve = Curve(args.a)
-    point = _point(args)
+    point = Point(args.x, args.y)
     bd = canonical_height(curve, point)
     oracle = limit_oracle(curve, point, args.depth)
     gap = abs(bd.canonical - oracle)
@@ -408,26 +404,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="JSON file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several commands share, each declared once: --a in curve_args,
+    # and point_args adds --x and --y to it
+    curve_args = argparse.ArgumentParser(add_help=False)
+    curve_args.add_argument("--a", type=int, required=True)
+    point_args = argparse.ArgumentParser(add_help=False, parents=[curve_args])
+    point_args.add_argument("--x", type=_rational_arg, required=True)
+    point_args.add_argument("--y", type=_rational_arg, required=True)
 
-    p = sub.add_parser("classify", help="Kodaira symbol and Tamagawa index at bad primes")
-    p.add_argument("--a", type=int, required=True)
+    p = sub.add_parser("classify", parents=[curve_args],
+                       help="Kodaira symbol and Tamagawa index at bad primes")
     p.add_argument("--prime", type=int)
     p.add_argument("--strict-minimal", action="store_true",
                    help="fail instead of auto-minimalizing a non-minimal a")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("height", help="naive/canonical height with local breakdown")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x", type=_rational_arg, required=True)
-    p.add_argument("--y", type=_rational_arg, required=True)
+    p = sub.add_parser("height", parents=[point_args],
+                       help="naive/canonical height with local breakdown")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_height)
 
-    p = sub.add_parser("verify", help="certify a point against every height bound")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x", type=_rational_arg, required=True)
-    p.add_argument("--y", type=_rational_arg, required=True)
+    p = sub.add_parser("verify", parents=[point_args],
+                       help="certify a point against every height bound")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -449,10 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true")
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("oracle", help="decomposition vs the limit-definition oracle")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x", type=_rational_arg, required=True)
-    p.add_argument("--y", type=_rational_arg, required=True)
+    p = sub.add_parser("oracle", parents=[point_args],
+                       help="decomposition vs the limit-definition oracle")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=cmd_oracle)
@@ -460,14 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_DEFAULTS = {"depth": 6, "tolerance": 1e-5, "search_bound": 100, "workers": None}
-#: the JSON values each config key takes, as its flag's type would take them
-#: (a JSON true is no integer and "6" is no number)
-_CONFIG_TYPES = {
-    "depth": ("an integer", (int,)),
-    "tolerance": ("a number", (int, float)),
-    "search_bound": ("an integer", (int,)),
-    "workers": ("an integer or null", (int, type(None))),
+#: each config key: its default, and the JSON values it takes, as its flag's
+#: type would take them (a JSON true is no integer and "6" is no number)
+_CONFIG = {
+    "depth": (6, "an integer", (int,)),
+    "tolerance": (1e-5, "a number", (int, float)),
+    "search_bound": (100, "an integer", (int,)),
+    "workers": (None, "an integer or null", (int, type(None))),
 }
 
 
@@ -505,7 +501,7 @@ def _run(argv: list[str] | None) -> int:
         parser.error(f"cannot read config: {exc}")
     except ValueError as exc:
         parser.error(f"invalid config: {exc}")
-    for key, default in _CONFIG_DEFAULTS.items():
+    for key, (default, *_) in _CONFIG.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, config.get(key, default))
     if getattr(args, "depth", None) is not None and not (1 <= args.depth <= MAX_DOUBLINGS):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arithmetic import fourth_power_free_part, isqrt_exact
+from .arithmetic import fourth_power_free_part, is_fourth_power_free, isqrt_exact
 from .errors import NotOnCurve, ZeroInput
 
 
@@ -64,7 +64,7 @@ class Curve:
 
     @property
     def is_minimal(self) -> bool:
-        return fourth_power_free_part(self.a)[1] == 1
+        return is_fourth_power_free(self.a)
 
     def minimalize(self) -> tuple["Curve", int]:
         """The fourth-power-free model and the scale s with a = a' * s^4.

@@ -96,9 +96,7 @@ def classify_reduction(curve: Curve, p: int) -> ReductionData:
         c = 4 if legendre_symbol(-a // (p * p), p) == 1 else 2
         trace = f"step 6: cubic T^3 + (a/p^2)T separable; (-a/p^2 | p) = {1 if c == 4 else -1}"
         return ReductionData(p, "I0*", c, 6, 6, trace)
-    if e == 3:
-        return ReductionData(p, "III*", 2, 9, 9, "step 9: ord(a) = 3")
-    raise NotMinimal(f"ord_{p}(a) = {e} >= 4 on a minimal model")
+    return ReductionData(p, "III*", 2, 9, 9, "step 9: ord(a) = 3")  # e = 3 on a minimal a
 
 
 def _classify_two(a: int) -> ReductionData:

@@ -164,8 +164,9 @@ def test_divisors():
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-12") == Fraction(-12)
-    with pytest.raises(ValueError):
-        parse_rational("0.5")
+    for text in ("0.5", "1e-3", "1E3"):  # Fraction alone would read 1/1000 and 1000
+        with pytest.raises(ValueError, match="not accepted; use p/q"):
+            parse_rational(text)
 
 
 def test_log_abs_huge():

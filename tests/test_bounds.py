@@ -36,6 +36,27 @@ def test_lang_bound_examples():
     assert b.constant == Fraction(-1, 8)
 
 
+@pytest.mark.parametrize("a, tag, constant", [
+    (1, "pos-g1", Fraction(1, 2)),
+    (3, "pos-g2", Fraction(1, 4)),
+    (4, "pos-g4", Fraction(-1, 8)),
+    (-7, "neg-g1", Fraction(9, 16)),
+    (-2, "neg-g2", Fraction(5, 16)),
+    (-12, "neg-g4", Fraction(-1, 16)),
+])
+def test_lang_bound_constant_of_each_class(a, tag, constant):
+    b = lang_lower_bound(a)
+    assert (b.class_tag, b.constant) == (tag, constant)
+    assert b.bound == pytest.approx(math.log(abs(a)) / 16 + float(constant) * LOG2, abs=1e-15)
+
+
+def test_residue_groups_partition_the_nonzero_residues():
+    groups = [set(residues) for residues, *_ in bounds._CLASSES.values()]
+    assert sorted(r for g in groups for r in g) == list(range(1, 16))
+    with pytest.raises(NotMinimal):
+        residue_group(-32)
+
+
 def test_lang_bound_requires_minimal():
     with pytest.raises(NotMinimal):
         lang_lower_bound(48)
@@ -133,6 +154,17 @@ def test_check_b2_examples():
     assert c.passed and c.actual == 2 and c.bound == 2
     c = check_b2_bounds(Curve(-2), affine(-1, 1))
     assert c.passed and c.actual == 2
+
+
+@pytest.mark.parametrize("a, xy, group_bound", [
+    (-7, (4, 6), 4),  # g1
+    (3, (1, 2), 2),  # g2
+    (-12, (-2, 4), 0),  # g4
+])
+def test_check_b2_class_bound_of_each_group(a, xy, group_bound):
+    # each point meets its group's bound with equality
+    c = check_b2_bounds(Curve(a), affine(*xy))
+    assert c.passed and c.bound == group_bound and c.actual == group_bound
 
 
 def test_ord2_x_is_one_or_even_when_a_is_4_mod_16():

@@ -148,10 +148,13 @@ def test_negative_fraction_coordinates(capsys):
     assert spaced == joined
 
 def test_malformed_rational_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["height", "--a", "3", "--x", "0.5", "--y", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for text in ("0.5", "1e3"):  # Fraction alone would read "1e3" as 1000
+        with pytest.raises(SystemExit) as exc:
+            main(["height", "--a", "3", "--x", text, "--y", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument --x: decimal input {text!r} not accepted; use p/q\n")
     with pytest.raises(SystemExit) as exc:
         main(["height", "--a", "3", "--x", "1/0", "--y", "1"])
     assert exc.value.code == 2
@@ -211,6 +214,15 @@ def test_verify_passes(capsys):
     assert run(capsys, "verify", "--a", "-2", "--x", "-1", "--y", "1")[0] == 0
 
 
+def test_verify_failing_check_exits_5(capsys, monkeypatch):
+    # an upper bound below every difference makes DiffUpper fail
+    monkeypatch.setattr(bounds, "diff_bounds", lambda a: bounds.DiffBounds(a, -10.0, -10.0, -10.0))
+    code, out, _ = run(capsys, "verify", "--a", "3", "--x", "1", "--y", "2", "--json")
+    assert code == 5
+    upper = next(c for c in json.loads(out)["checks"] if c["theorem"] == "DiffUpper")
+    assert upper["status"] == "fail"
+
+
 def test_oracle_exit_codes(capsys):
     code, out, _ = run(
         capsys, "oracle", "--a", "3", "--x", "1", "--y", "2", "--depth", "6",
@@ -268,6 +280,19 @@ def test_invalid_config_exits_2(tmp_path, capsys, config, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "invalid config" in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "oracle", "--a", "3", "--x", "1", "--y", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot read config" in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -332,6 +357,11 @@ def test_extremal_commands(capsys):
     assert code == 8
     assert out == ""
     assert err == "error: lang-neg-4(n=3): 2*5^2 - z^2 = +-4 has no integer solution\n"
+
+    code, out, err = run(capsys, "extremal", "--family", "lang-neg-4", "--param", "0")
+    assert code == 8
+    assert out == ""
+    assert err == "error: lang-neg-4(n=0): degenerate index, a = 4 >= 0\n"
 
 
 
@@ -453,6 +483,17 @@ def test_sweep_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, suffix):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_sweep_out_on_a_full_device_exits_2(capsys):
+    # /dev/full opens, but the flush of the report fails
+    code, out, err = run(
+        capsys, "sweep", "--amin", "1", "--amax", "3", "--search-bound", "5", "--out", "/dev/full",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 @pytest.mark.parametrize("suffix", ["json", "csv"])

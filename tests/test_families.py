@@ -43,6 +43,8 @@ def test_halve_point_examples():
 
     assert halve_point(Curve(5), 7) == []
     assert halve_point(Curve(5), -4) == []
+    # 4 is a square, but 4^3 + 3*4 = 76 is not: 4 is no x-coordinate on a = 3
+    assert halve_point(Curve(3), 4) == []
 
 
 def test_halve_point_two_torsion_target():
