@@ -26,7 +26,7 @@ from .arithmetic import (
     squarefree_divisors,
 )
 from .curve import Curve, Point
-from .errors import AxHeightsError, NotMinimal
+from .errors import AxHeightsError, NotMinimal, ZeroInput
 from .heights import (
     HeightBreakdown,
     _height_on_minimal,
@@ -137,6 +137,8 @@ def corollary_bound(a: int) -> float:
 def diff_bounds(a: int) -> DiffBounds:
     """Two-sided bounds on (1/2)h - hhat; the constant lower bound is the
     better one for small |a|."""
+    if a == 0:
+        raise ZeroInput("a must be nonzero (a = 0 is singular for heights)")
     la = math.log(abs(a))
     return DiffBounds(
         a=a,

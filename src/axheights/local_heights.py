@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arithmetic import factorize, legendre_symbol, log_abs, ord_int, ord_p
 from .curve import Curve, Point, x_after_doubling
@@ -26,7 +27,7 @@ from .errors import NotMinimal, TorsionPoint, ZeroX
 
 DEFAULT_TERMS = 40
 
-_CORR_NONE = "otherwise"
+_NO_CORRECTION = (Fraction(0), "otherwise")
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,58 @@ def bad_primes(curve: Curve) -> list[int]:
     return sorted(set(factorize(2 * curve.a)))
 
 
+# Reduction classes of E_a.  A row holds the Kodaira symbol, the Tamagawa
+# index (None for I0*, where it is 4 or 2 as (-a/p^2 | p) is 1 or -1), the
+# deciding Tate step and its trace, and lambda_p's corrections as (least
+# valuation, value, tag): the first correction whose least valuation
+# ord_p(x) reaches is subtracted (for III at 2, ord_2(x + a) is read).
+class _Reduction(NamedTuple):
+    kodaira: str
+    tamagawa: int | None
+    tate_step: int
+    trace: str
+    corrections: tuple[tuple[int, Fraction, str], ...]
+
+
+_X_PLUS_A = ((1, Fraction(1, 4), "a = 2,3 mod 4, ord_2(x+a) > 0"),)
+_HALF_AT_1 = (1, Fraction(1, 2), "a = 12,20,36,44 mod 64, ord_2(x) > 0")
+_HALF_AT_2 = (2, Fraction(1, 2), "a = 4,28,52,60 mod 64, ord_2(x) > 1")
+
+# at 2, keyed by a mod 64 (a fourth-power-free a is never 0 mod 16)
+_TWO_ADIC = {r: row for residues, row in (
+    (range(1, 64, 4), _Reduction("II", 1, 3, "step 3: a6' = a+1 = 2*odd", ())),
+    (range(3, 64, 4), _Reduction("III", 2, 4, "step 4: b8' = 12 mod 16", _X_PLUS_A)),
+    (range(2, 64, 4), _Reduction("III", 2, 4, "step 4: ord(b8) = 2", _X_PLUS_A)),
+    (range(8, 64, 16), _Reduction("III*", 2, 9, "step 9: ord(a) = 3",
+                                  ((1, Fraction(3, 4), "a = 0 mod 8, ord_2(x) > 0"),))),
+    # a = 4 mod 8: step 7 with a double root, split by a mod 32 / mod 64
+    ((12, 44), _Reduction("I2*", 2, 7, "step 7: quadratic irreducible", (_HALF_AT_1,))),
+    ((28, 60), _Reduction("I2*", 4, 7, "step 7: quadratic splits",
+                          (_HALF_AT_2, (1, Fraction(3, 4), "a = 28,60 mod 64, ord_2(x) = 1")))),
+    ((20, 36), _Reduction("I3*", 2, 7, "step 7: Y^2+Y+1 at depth 3", (_HALF_AT_1,))),
+    ((4, 52), _Reduction("I3*", 4, 7, "step 7: Y^2+Y at depth 3",
+                         (_HALF_AT_2, (1, Fraction(7, 8), "a = 4,52 mod 64, ord_2(x) = 1")))),
+) for r in residues}
+
+# at an odd p, indexed by e = ord_p(a) <= 3 on a minimal model
+_ODD = (
+    _Reduction("I0", 1, 1, "step 1: good reduction", ()),
+    _Reduction("III", 2, 4, "step 4: ord(b8) = 2", ((1, Fraction(1, 4), "p^1||a, ord_p(x) > 0"),)),
+    _Reduction("I0*", None, 6, "step 6: cubic T^3 + (a/p^2)T separable",
+               ((1, Fraction(1, 2), "p^2||a, ord_p(x) > 0"),)),
+    _Reduction("III*", 2, 9, "step 9: ord(a) = 3", ((1, Fraction(3, 4), "p^3||a, ord_p(x) > 0"),)),
+)
+
+
+def _reduction(a: int, p: int) -> tuple[_Reduction, int]:
+    """The reduction class of a minimal a at p, and ord_p(disc), disc = -64 a^3.
+    A p that is not prime raises NotPrime (from ord_p)."""
+    if p == 2:
+        return _TWO_ADIC[a % 64], 6 + 3 * ord_int(a, 2)
+    e = ord_p(a, p)
+    return _ODD[e], 3 * e
+
+
 def classify_reduction(curve: Curve, p: int) -> ReductionData:
     """Kodaira symbol, Tamagawa index and ord_p(disc) at the prime p.
 
@@ -84,72 +137,12 @@ def classify_reduction(curve: Curve, p: int) -> ReductionData:
     """
     if not curve.is_minimal:
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
-    a = curve.a
-    if p == 2:
-        return _classify_two(a)
-    e = ord_p(a, p)
-    if e == 0:
-        return ReductionData(p, "I0", 1, 0, 1, "step 1: good reduction")
-    if e == 1:
-        return ReductionData(p, "III", 2, 3, 4, "step 4: ord(b8) = 2")
-    if e == 2:
-        c = 4 if legendre_symbol(-a // (p * p), p) == 1 else 2
-        trace = f"step 6: cubic T^3 + (a/p^2)T separable; (-a/p^2 | p) = {1 if c == 4 else -1}"
-        return ReductionData(p, "I0*", c, 6, 6, trace)
-    return ReductionData(p, "III*", 2, 9, 9, "step 9: ord(a) = 3")  # e = 3 on a minimal a
-
-
-def _classify_two(a: int) -> ReductionData:
-    ord_delta = 6 + 3 * ord_int(a, 2)
-    r4 = a % 4
-    if r4 == 1:
-        return ReductionData(2, "II", 1, ord_delta, 3, "step 3: a6' = a+1 = 2*odd")
-    if r4 == 3:
-        return ReductionData(2, "III", 2, ord_delta, 4, "step 4: b8' = 12 mod 16")
-    if r4 == 2:
-        return ReductionData(2, "III", 2, ord_delta, 4, "step 4: ord(b8) = 2")
-    if a % 8 == 0:
-        return ReductionData(2, "III*", 2, ord_delta, 9, "step 9: ord(a) = 3")
-    # a = 4 mod 8: step 7 with a double root, split by a mod 32 / mod 64
-    r32, r64 = a % 32, a % 64
-    if r32 == 12:
-        return ReductionData(2, "I2*", 2, ord_delta, 7, "step 7: quadratic irreducible")
-    if r32 == 28:
-        return ReductionData(2, "I2*", 4, ord_delta, 7, "step 7: quadratic splits")
-    if r64 in (20, 36):
-        return ReductionData(2, "I3*", 2, ord_delta, 7, "step 7: Y^2+Y+1 at depth 3")
-    if r64 in (4, 52):
-        return ReductionData(2, "I3*", 4, ord_delta, 7, "step 7: Y^2+Y at depth 3")
-    raise AssertionError(f"unreachable 2-adic class for a = {a}")
-
-
-def _correction_odd(e: int, ord_x: int) -> tuple[Fraction, str]:
-    if 1 <= e <= 3 and ord_x > 0:
-        return Fraction(e, 4), f"p^{e}||a, ord_p(x) > 0"
-    return Fraction(0), _CORR_NONE
-
-
-def _correction_two(a: int, x: Fraction, ord2x: int) -> tuple[Fraction, str]:
-    if a % 4 in (2, 3):
-        # ord_2(x + a) on the literal reading: with an even denominator the
-        # valuation is negative and the case cannot fire.  x + a = 0 counts
-        # as valuation +infinity.
-        s = x + a
-        if s == 0 or ord_p(s, 2) > 0:
-            return Fraction(1, 4), "a = 2,3 mod 4, ord_2(x+a) > 0"
-        return Fraction(0), _CORR_NONE
-    r64 = a % 64
-    if r64 in (12, 20, 36, 44) and ord2x > 0:
-        return Fraction(1, 2), "a = 12,20,36,44 mod 64, ord_2(x) > 0"
-    if r64 in (4, 28, 52, 60) and ord2x > 1:
-        return Fraction(1, 2), "a = 4,28,52,60 mod 64, ord_2(x) > 1"
-    if a % 8 == 0 and ord2x > 0:
-        return Fraction(3, 4), "a = 0 mod 8, ord_2(x) > 0"
-    if r64 in (28, 60) and ord2x == 1:
-        return Fraction(3, 4), "a = 28,60 mod 64, ord_2(x) = 1"
-    if r64 in (4, 52) and ord2x == 1:
-        return Fraction(7, 8), "a = 4,52 mod 64, ord_2(x) = 1"
-    return Fraction(0), _CORR_NONE
+    row, ord_delta = _reduction(curve.a, p)
+    tamagawa, trace = row.tamagawa, row.trace
+    if tamagawa is None:
+        sign = legendre_symbol(-curve.a // (p * p), p)
+        tamagawa, trace = (4 if sign == 1 else 2), f"{trace}; (-a/p^2 | p) = {sign}"
+    return ReductionData(p, row.kodaira, tamagawa, ord_delta, row.tate_step, trace)
 
 
 def lambda_nonarch(curve: Curve, point: Point, p: int) -> NonArchLocalHeight:
@@ -164,12 +157,17 @@ def lambda_nonarch(curve: Curve, point: Point, p: int) -> NonArchLocalHeight:
 
 def _lambda_p(curve: Curve, x: Fraction, p: int) -> NonArchLocalHeight:
     """lambda_nonarch from a and x(P) alone, for a point the caller has checked."""
-    ord_x = ord_p(x, p)
-    ord_delta = ord_int(curve.discriminant, p)
-    if p == 2:
-        correction, tag = _correction_two(curve.a, x, ord_x)
-    else:
-        correction, tag = _correction_odd(ord_delta // 3, ord_x)  # disc = -64 a^3
+    row, ord_delta = _reduction(curve.a, p)
+    ord_x = ord_int(x.numerator, p) - ord_int(x.denominator, p)  # _reduction checked p
+    v = ord_x
+    if p == 2 and row.kodaira == "III":
+        # ord_2(x + a) on the literal reading: with an even denominator the
+        # valuation is negative and the case cannot fire.  x + a = 0 counts
+        # as valuation +infinity.
+        s = x + curve.a
+        v = math.inf if s == 0 else ord_p(s, 2)
+    correction, tag = next(((value, tag) for least, value, tag in row.corrections if v >= least),
+                           _NO_CORRECTION)
     coefficient = Fraction(max(0, -ord_x), 2) + Fraction(ord_delta, 12) - correction
     return NonArchLocalHeight(p, coefficient, correction, tag)
 

@@ -16,7 +16,7 @@ from axheights.bounds import (
     sweep,
 )
 from axheights.curve import Curve, Point, affine
-from axheights.errors import AxHeightsError, NotMinimal
+from axheights.errors import AxHeightsError, NotMinimal, ZeroInput
 from axheights.heights import limit_oracle
 
 LOG2 = math.log(2.0)
@@ -94,6 +94,13 @@ def test_diff_bounds_examples():
     db = diff_bounds(3)
     assert db.lower_const == pytest.approx(-math.log(3) / 4 - 0.16)
     assert db.lower_sqrt < 0 < db.upper
+
+
+def test_bounds_of_a_zero():
+    with pytest.raises(ZeroInput):
+        diff_bounds(0)
+    with pytest.raises(ZeroInput):
+        corollary_bound(0)
 
 
 def test_certify_point_passes():

@@ -75,6 +75,8 @@ def test_classify_rejects_non_prime(capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: {prime} is not prime\n"
+    code, out, err = run(capsys, "classify", "--a", "3", "--prime", "9")
+    assert (code, out, err) == (2, "", "error: 9 is not prime\n")
     code, out, _ = run(capsys, "classify", "--a", "12", "--prime", "5")
     assert code == 0
     assert "I0" in out

@@ -6,7 +6,7 @@ import pytest
 
 from axheights.arithmetic import is_fourth_power_free
 from axheights.curve import Curve, Point, affine
-from axheights.errors import NotMinimal, TorsionPoint, ZeroX
+from axheights.errors import NotMinimal, NotPrime, TorsionPoint, ZeroX
 from axheights.local_heights import (
     _z_pos,
     bad_primes,
@@ -20,27 +20,54 @@ from axheights.local_heights import (
 LOG2 = math.log(2.0)
 
 
+_STEP_6 = "step 6: cubic T^3 + (a/p^2)T separable; (-a/p^2 | p) = "
+_CLASSIFY_EXAMPLES = [
+    # one a per reduction class at 2, keyed by a mod 64
+    (1, 2, "II", 1, 6, 3, "step 3: a6' = a+1 = 2*odd"),
+    (3, 2, "III", 2, 6, 4, "step 4: b8' = 12 mod 16"),
+    (2, 2, "III", 2, 9, 4, "step 4: ord(b8) = 2"),
+    (8, 2, "III*", 2, 15, 9, "step 9: ord(a) = 3"),
+    (12, 2, "I2*", 2, 12, 7, "step 7: quadratic irreducible"),
+    (44, 2, "I2*", 2, 12, 7, "step 7: quadratic irreducible"),
+    (28, 2, "I2*", 4, 12, 7, "step 7: quadratic splits"),
+    (60, 2, "I2*", 4, 12, 7, "step 7: quadratic splits"),
+    (20, 2, "I3*", 2, 12, 7, "step 7: Y^2+Y+1 at depth 3"),
+    (36, 2, "I3*", 2, 12, 7, "step 7: Y^2+Y+1 at depth 3"),
+    (4, 2, "I3*", 4, 12, 7, "step 7: Y^2+Y at depth 3"),
+    (52, 2, "I3*", 4, 12, 7, "step 7: Y^2+Y at depth 3"),
+    # one per e = ord_p(a) at an odd p, both Legendre signs for I0*
+    (3, 5, "I0", 1, 0, 1, "step 1: good reduction"),
+    (1, 3, "I0", 1, 0, 1, "step 1: good reduction"),
+    (3, 3, "III", 2, 3, 4, "step 4: ord(b8) = 2"),
+    (7, 7, "III", 2, 3, 4, "step 4: ord(b8) = 2"),
+    (18, 3, "I0*", 4, 6, 6, _STEP_6 + "1"),
+    (9, 3, "I0*", 2, 6, 6, _STEP_6 + "-1"),
+    (-50, 5, "I0*", 2, 6, 6, _STEP_6 + "-1"),
+    (27, 3, "III*", 2, 9, 9, "step 9: ord(a) = 3"),
+]
+
+
 @pytest.mark.parametrize(
-    "a,p,kodaira,tamagawa",
-    [
-        (1, 2, "II", 1),
-        (12, 2, "I2*", 2),
-        (18, 3, "I0*", 4),
-        (9, 3, "I0*", 2),
-        (7, 7, "III", 2),
-        (-50, 5, "I0*", 2),
-        (3, 5, "I0", 1),
-    ],
+    "a,p,kodaira,tamagawa,ord_delta,tate_step,trace",
+    _CLASSIFY_EXAMPLES,
+    ids=["-".join(map(str, row[:4])) for row in _CLASSIFY_EXAMPLES],
 )
-def test_classify_examples(a, p, kodaira, tamagawa):
+def test_classify_examples(a, p, kodaira, tamagawa, ord_delta, tate_step, trace):
     r = classify_reduction(Curve(a), p)
-    assert r.kodaira == kodaira
-    assert r.tamagawa == tamagawa
+    assert (r.prime, r.kodaira, r.tamagawa) == (p, kodaira, tamagawa)
+    assert (r.ord_delta, r.tate_step, r.trace) == (ord_delta, tate_step, trace)
 
 
 def test_classify_requires_minimal():
     with pytest.raises(NotMinimal):
         classify_reduction(Curve(48), 2)
+
+
+def test_non_prime_raises_not_prime():
+    with pytest.raises(NotPrime):
+        classify_reduction(Curve(3), 9)
+    with pytest.raises(NotPrime):
+        lambda_nonarch(Curve(3), affine(1, 2), 15)
 
 
 def test_classification_totality_small():
@@ -220,32 +247,52 @@ def test_z_range_positive_a():
 
 
 def test_correction_case_coverage():
-    # every correction case of the 2-adic table fires on some small curve,
-    # and each full height at such a point is validated against the limit
-    # oracle inside the theorem envelope (a wrong branch is a >= (1/8)log 2
-    # error, three orders of magnitude above the envelope)
+    # every correction case of the reduction table fires on some small curve,
+    # and every correcting class also has a point where nothing fires; each
+    # full height at such a point is validated against the limit oracle
+    # inside the theorem envelope (a wrong branch is a >= (1/8)log 2 error,
+    # three orders of magnitude above the envelope)
     from axheights.heights import canonical_height, limit_oracle
 
-    witnesses = {
-        "a = 2,3 mod 4, ord_2(x+a) > 0": (3, affine(1, 2), 2),
-        "a = 12,20,36,44 mod 64, ord_2(x) > 0": (
-            -244, affine(Fraction(-324, 25), Fraction(3924, 125)), 2),
-        "a = 4,28,52,60 mod 64, ord_2(x) > 1": (-12, affine(4, 4), 2),
-        "a = 0 mod 8, ord_2(x) > 0": (
-            -184, affine(Fraction(-184, 25), Fraction(3864, 125)), 2),
-        "a = 28,60 mod 64, ord_2(x) = 1": (28, affine(2, 8), 2),
-        "a = 4,52 mod 64, ord_2(x) = 1": (68, affine(34, 204), 2),
-        "p^1||a, ord_p(x) > 0": (
-            -249, affine(Fraction(-83, 81), Fraction(11620, 729)), 83),
-        "p^2||a, ord_p(x) > 0": (-225, affine(-9, 36), 3),
-        "p^3||a, ord_p(x) > 0": (-250, affine(Fraction(250, 9), Fraction(3250, 27)), 5),
-    }
-    for tag, (a, point, p) in witnesses.items():
+    none = ("otherwise", Fraction(0))
+    t12 = "a = 12,20,36,44 mod 64, ord_2(x) > 0"
+    t4 = "a = 4,28,52,60 mod 64, ord_2(x) > 1"
+    witnesses = [  # ((Kodaira, Tamagawa) at p, a, point, p, (tag, correction))
+        (("III", 2), 3, affine(1, 2), 2, ("a = 2,3 mod 4, ord_2(x+a) > 0", Fraction(1, 4))),
+        (("III", 2), 3, affine(Fraction(1, 4), Fraction(-7, 8)), 2, none),
+        (("III", 2), -2, affine(2, 2), 2, ("a = 2,3 mod 4, ord_2(x+a) > 0", Fraction(1, 4))),
+        (("III", 2), -2, affine(-1, 1), 2, none),
+        (("III*", 2), -184, affine(Fraction(-184, 25), Fraction(3864, 125)), 2,
+         ("a = 0 mod 8, ord_2(x) > 0", Fraction(3, 4))),
+        (("III*", 2), 8, affine(1, 3), 2, none),
+        (("I2*", 2), -244, affine(Fraction(-324, 25), Fraction(3924, 125)), 2,
+         (t12, Fraction(1, 2))),
+        (("I2*", 2), -20, affine(5, 5), 2, none),
+        (("I2*", 4), -132, affine(12, 12), 2, (t4, Fraction(1, 2))),
+        (("I2*", 4), 28, affine(2, 8), 2, ("a = 28,60 mod 64, ord_2(x) = 1", Fraction(3, 4))),
+        (("I2*", 4), -36, affine(-3, 9), 2, none),
+        (("I3*", 2), 20, affine(4, 12), 2, (t12, Fraction(1, 2))),
+        (("I3*", 2), -156, affine(13, 13), 2, none),
+        (("I3*", 4), -12, affine(4, 4), 2, (t4, Fraction(1, 2))),
+        (("I3*", 4), 68, affine(34, 204), 2, ("a = 4,52 mod 64, ord_2(x) = 1", Fraction(7, 8))),
+        (("I3*", 4), -12, affine(-3, 3), 2, none),
+        (("II", 1), -15, affine(4, 2), 2, none),
+        (("III", 2), -249, affine(Fraction(-83, 81), Fraction(11620, 729)), 83,
+         ("p^1||a, ord_p(x) > 0", Fraction(1, 4))),
+        (("III", 2), 3, affine(1, 2), 3, none),
+        (("I0*", 4), -225, affine(-9, 36), 3, ("p^2||a, ord_p(x) > 0", Fraction(1, 2))),
+        (("I0*", 4), -25, affine(-4, 6), 5, none),
+        (("III*", 2), -250, affine(Fraction(250, 9), Fraction(3250, 27)), 5,
+         ("p^3||a, ord_p(x) > 0", Fraction(3, 4))),
+        (("III*", 2), -54, affine(-2, 10), 3, none),
+    ]
+    for reduction, a, point, p, (tag, correction) in witnesses:
         curve = Curve(a)
         assert curve.contains(point), (a, point)
+        r = classify_reduction(curve, p)
+        assert (r.kodaira, r.tamagawa) == reduction, (a, p)
         term = lambda_nonarch(curve, point, p)
-        assert term.correction_tag == tag, (a, point, term.correction_tag)
-        assert term.correction > 0
+        assert (term.correction_tag, term.correction) == (tag, correction), (a, point, p)
         bd = canonical_height(curve, point)
         envelope = (0.25 * math.log(abs(a)) + 0.6) / 4.0**6
         assert abs(bd.canonical - limit_oracle(curve, point, 6)) < envelope
