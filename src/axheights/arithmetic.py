@@ -176,14 +176,16 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=65536)
 def fourth_power_free_part(a: int) -> tuple[int, int]:
-    """Write ``a = a4f * s**4`` with ``a4f`` fourth-power-free."""
+    """Write ``a = a4f * s**4`` with ``a4f`` fourth-power-free.
+
+    From ``a = u * v**2`` and ``v = w * s**2`` (both squarefree decompositions)
+    ``a4f = u * w**2``, in which every prime has exponent at most 3.
+    """
     if a == 0:
         raise ZeroInput("0 has no fourth-power-free part")
-    a4f, s = 1 if a > 0 else -1, 1
-    for p, e in factorize(a).items():
-        a4f *= p ** (e % 4)
-        s *= p ** (e // 4)
-    return a4f, s
+    u, v = squarefree_decompose(a)
+    w, s = squarefree_decompose(v)
+    return u * w * w, s
 
 
 def is_fourth_power_free(a: int) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -149,17 +150,7 @@ def cmd_classify(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "classify",
             "a": curve.a,
-            "rows": [
-                {
-                    "prime": r.prime,
-                    "kodaira": r.kodaira,
-                    "tamagawa": r.tamagawa,
-                    "ord_delta": r.ord_delta,
-                    "tate_step": r.tate_step,
-                    "trace": r.trace,
-                }
-                for r in rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in rows],
         }
         print(json.dumps(doc, indent=2))
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import is_rational_square, isqrt_exact
-from .curve import Curve, Point, affine
+from .curve import Curve, Point, affine, x_after_doubling
 from .errors import NoRationalHalf, RowValidationFailed, ZeroInput
 
 _REDERIVE_HINT = (
@@ -250,9 +250,6 @@ def halve_point(curve: Curve, xi: Fraction | int) -> list[Point]:
     out = []
     for x0 in roots:
         y = is_rational_square(x0**3 + a * x0)
-        if y is None or y == 0:
-            continue
-        candidate = Point(x0, y)
-        if curve._double_raw(candidate).x == xi:
-            out.append(candidate)
+        if y is not None and y != 0 and x_after_doubling(a, x0) == xi:
+            out.append(Point(x0, y))
     return sorted(out, key=lambda p: p.x)

@@ -203,7 +203,7 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is torsion")
-    x2 = curve._double_raw(point).x  # independent of x_after_doubling (lambda_inf)
+    x2 = x_after_doubling(curve.a, point.x)
     root = is_rational_square(x2)
     if root is None:
         return False, {}

@@ -1,14 +1,16 @@
 """Property tests of the canonical height over every nontorsion point that
 the search finds on the small curves: quadraticity, the parallelogram law
 and invariance under change of model.  Each identity is judged against the
-error bounds of the heights it combines, weighted by their coefficients."""
+error bounds of the heights it combines, weighted by their coefficients.
+The x-only duplication map is checked against the group law on the same
+points."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axheights.arithmetic import is_fourth_power_free
 from axheights.bounds import find_points
-from axheights.curve import Curve, Point
+from axheights.curve import Curve, Point, affine, x_after_doubling
 from axheights.heights import canonical_height
 
 #: the nontorsion points of find_points(Curve(a), 12) for each
@@ -63,3 +65,13 @@ def test_model_invariance(sample, s):
     other = canonical_height(Curve(a * s**4), scaled)
     gap = abs(other.canonical - base.canonical)
     assert gap <= other.error_bound + base.error_bound, (a, point, s, gap)
+
+
+def test_x_only_doubling_matches_group_law():
+    for a, point in POINTS:
+        assert x_after_doubling(a, point.x) == Curve(a).double(point).x, (a, point)
+    curve, point = Curve(3), affine(1, 2)
+    for k in range(1, 8):  # x(2^7 P) has 3,565 digits
+        doubled = curve.double(point)
+        assert x_after_doubling(3, point.x) == doubled.x, k
+        point = doubled
