@@ -133,7 +133,9 @@ def _factorize_cached(n: int, budget: int) -> tuple[tuple[int, int], ...]:
 
 
 def ord_int(n: int, p: int) -> int:
-    """Exponent of ``p`` in the nonzero integer ``n``."""
+    """Exponent of ``p`` in the nonzero integer ``n``, for a base ``p >= 2``."""
+    if p < 2:
+        raise ValueError(f"valuation base {p} must be at least 2")
     if n == 0:
         raise ZeroInput("valuation of 0 is undefined")
     e = 0

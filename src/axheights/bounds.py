@@ -77,7 +77,7 @@ class DiffBounds:
     upper: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheck:
     """One certified inequality with its margin.
 

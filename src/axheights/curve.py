@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -166,5 +167,26 @@ def _torsion_cached(a: int) -> TorsionStructure:
 
 def x_after_doubling(a: int, x: Fraction) -> Fraction:
     """x(2P) = (x^2 - a)^2 / (4(x^3 + a x)), the x-only duplication map."""
-    return (x * x - a) ** 2 / (4 * (x**3 + a * x))
+    return Fraction(*_x_after_doubling_ints(a, x.numerator, x.denominator))
+
+
+def _x_after_doubling_ints(a: int, m: int, d: int) -> tuple[int, int]:
+    """x(2P) = num/den in lowest terms with den > 0, for x(P) = m/d in lowest
+    terms with d > 0 and a nonzero; den = 0 raises ZeroDivisionError.
+
+    num = (m^2 - a d^2)^2 and den = 4 m d (m^2 + a d^2) share only factors of
+    16 a^4, because gcd(m, d) = 1: gcd(num, d) = 1, gcd(num, m) | a^2 and
+    gcd(num, m^2 + a d^2) | 4 a^2.  So the gcd is taken against 16 a^4
+    instead of at full size.
+    """
+    m2, ad2 = m * m, a * d * d
+    num = (m2 - ad2) ** 2
+    den = 4 * m * d * (m2 + ad2)
+    if den == 0:
+        raise ZeroDivisionError(f"x(2P) is infinite for x = {m}/{d} on a = {a}")
+    k = 16 * a**4
+    g = math.gcd(math.gcd(num % k, k), den % k)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 

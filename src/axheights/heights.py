@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import factorize, is_rational_square, ord_int
-from .curve import Curve, Point, x_after_doubling
+from .curve import Curve, Point, _x_after_doubling_ints, x_after_doubling
 from .errors import DepthExceeded, InfinityPoint, NotMinimal, TorsionPoint
 from .local_heights import (
     ArchHeightValue,
@@ -34,7 +34,7 @@ MAX_DOUBLINGS = 10
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeightBreakdown:
     """Canonical height with its place-by-place contributions.
 
@@ -153,7 +153,8 @@ def _height_on_minimal(
 
 
 def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
-    """(1/2) h(2^n P) / 4^n in exact arithmetic: the definition itself.
+    """(1/2) h(2^n P) / 4^n in exact arithmetic: the definition itself,
+    doubling x(P) = m/d as a pair of integers in lowest terms.
 
     Independent of the local decomposition; agreement between the two is
     the core correctness check.
@@ -162,10 +163,10 @@ def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
         raise DepthExceeded(f"doublings must be in 1..{MAX_DOUBLINGS}")
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is torsion; the limit is trivially 0")
-    x = point.x
+    m, d = point.x.numerator, point.x.denominator
     for _ in range(doublings):
-        x = x_after_doubling(curve.a, x)
-    return naive_height_x(x) / (2.0 * 4.0**doublings)
+        m, d = _x_after_doubling_ints(curve.a, m, d)
+    return math.log(max(abs(m), d)) / (2.0 * 4.0**doublings)
 
 
 def denominator_sequence(curve: Curve, point: Point, upto: int) -> list[DenominatorRecord]:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arithmetic import factorize, legendre_symbol, log_abs, ord_int, ord_p
+from .arithmetic import factorize, is_prime, legendre_symbol, log_abs, ord_int, ord_p
 from .curve import Curve, Point, x_after_doubling
-from .errors import NotMinimal, TorsionPoint, ZeroX
+from .errors import NotMinimal, NotPrime, TorsionPoint, ZeroX
 
 DEFAULT_TERMS = 40
 
@@ -48,7 +48,7 @@ class ReductionData:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonArchLocalHeight:
     """lambda_p(P) = coefficient * log(prime), exactly."""
 
@@ -62,7 +62,7 @@ class NonArchLocalHeight:
         return float(self.coefficient) * math.log(self.prime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchHeightValue:
     """Truncated Tate series value with its certified geometric tail bound."""
 
@@ -120,11 +120,12 @@ _ODD = (
 
 
 def _reduction(a: int, p: int) -> tuple[_Reduction, int]:
-    """The reduction class of a minimal a at p, and ord_p(disc), disc = -64 a^3.
-    A p that is not prime raises NotPrime (from ord_p)."""
+    """The reduction class of a minimal a at the prime p, and ord_p(disc),
+    disc = -64 a^3.  p is not tested for primality: the public callers check
+    it, the internal ones pass primes from factorize."""
     if p == 2:
         return _TWO_ADIC[a % 64], 6 + 3 * ord_int(a, 2)
-    e = ord_p(a, p)
+    e = ord_int(a, p)
     return _ODD[e], 3 * e
 
 
@@ -133,10 +134,11 @@ def classify_reduction(curve: Curve, p: int) -> ReductionData:
 
     This is a closed-form lookup, not a general Tate's-algorithm engine;
     the trace records which Tate step decides the type, for auditing.
-    A p that is not prime raises NotPrime (from ord_p).
+    A p that is not prime raises NotPrime.
     """
     if not curve.is_minimal:
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
+    _require_prime(p)
     row, ord_delta = _reduction(curve.a, p)
     tamagawa, trace = row.tamagawa, row.trace
     if tamagawa is None:
@@ -147,18 +149,26 @@ def classify_reduction(curve: Curve, p: int) -> ReductionData:
 
 def lambda_nonarch(curve: Curve, point: Point, p: int) -> NonArchLocalHeight:
     """Exact local height at a finite prime for an affine nontorsion point:
-    coefficient = (1/2) max(0, -ord_p(x)) + (1/12) ord_p(disc) - correction."""
+    coefficient = (1/2) max(0, -ord_p(x)) + (1/12) ord_p(disc) - correction.
+    A p that is not prime raises NotPrime."""
     if not curve.is_minimal:
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is a torsion point")
+    _require_prime(p)
     return _lambda_p(curve, point.x, p)
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def _lambda_p(curve: Curve, x: Fraction, p: int) -> NonArchLocalHeight:
-    """lambda_nonarch from a and x(P) alone, for a point the caller has checked."""
+    """lambda_nonarch from a and x(P) alone, for a point and prime the caller
+    has checked."""
     row, ord_delta = _reduction(curve.a, p)
-    ord_x = ord_int(x.numerator, p) - ord_int(x.denominator, p)  # _reduction checked p
+    ord_x = ord_int(x.numerator, p) - ord_int(x.denominator, p)
     v = ord_x
     if p == 2 and row.kodaira == "III":
         # ord_2(x + a) on the literal reading: with an even denominator the
@@ -168,7 +178,7 @@ def _lambda_p(curve: Curve, x: Fraction, p: int) -> NonArchLocalHeight:
         v = math.inf if s == 0 else ord_p(s, 2)
     correction, tag = next(((value, tag) for least, value, tag in row.corrections if v >= least),
                            _NO_CORRECTION)
-    coefficient = Fraction(max(0, -ord_x), 2) + Fraction(ord_delta, 12) - correction
+    coefficient = Fraction(6 * max(0, -ord_x) + ord_delta, 12) - correction
     return NonArchLocalHeight(p, coefficient, correction, tag)
 
 

@@ -12,6 +12,7 @@ from axheights.arithmetic import (
     is_rational_square,
     legendre_symbol,
     log_abs,
+    ord_int,
     ord_p,
     parse_rational,
     squarefree_decompose,
@@ -38,6 +39,13 @@ def test_ord_p_errors():
         ord_p(0, 2)
     with pytest.raises(NotPrime):
         ord_p(6, 4)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+def test_ord_int_rejects_base_below_two(p):
+    # p = 1 and p = -1 would divide forever, p = 0 would divide by zero
+    with pytest.raises(ValueError, match="must be at least 2"):
+        ord_int(12, p)
 
 
 def test_ord_p_additive():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from axheights.arithmetic import is_rational_square, squarefree_decompose
-from axheights.curve import INFINITY, Curve, affine
+from axheights.curve import INFINITY, Curve, _x_after_doubling_ints, affine, x_after_doubling
 from axheights.errors import NotOnCurve, ZeroInput
 
 
@@ -138,3 +138,12 @@ def test_public_api_names_resolve():
     assert len(set(axheights.__all__)) == len(axheights.__all__)
     for name in axheights.__all__:
         assert hasattr(axheights, name), name
+
+
+@pytest.mark.parametrize("a,x", [(3, 0), (-4, 0), (-4, 2), (-4, -2), (-9, 3), (-1, 1), (-64, 8)])
+def test_x_after_doubling_infinite_at_two_torsion(a, x):
+    # x = 0 and x^2 = -a are the x-coordinates of the 2-torsion points
+    with pytest.raises(ZeroDivisionError):
+        x_after_doubling(a, Fraction(x))
+    with pytest.raises(ZeroDivisionError):
+        _x_after_doubling_ints(a, x, 1)

@@ -147,6 +147,27 @@ def test_limit_oracle_hand_picked_depth8():
         assert abs(bd.canonical - limit_oracle(curve, p, 8)) < 1e-8
 
 
+def test_limit_oracle_is_the_plain_definition():
+    # bit for bit the float of (1/2) h(2^k P) / 4^k with x(2^k P) built by
+    # Fraction arithmetic; off and on the identity component for a < 0, a
+    # non-integral x, and a model that is not fourth-power-free
+    bank = [
+        (3, (1, 2), 10),
+        (-12, (-2, 4), 10),
+        (-12, (6, 12), 10),
+        (-32, (-4, 8), 8),
+        (-184, (Fraction(-184, 25), Fraction(3864, 125)), 8),
+        (-249, (Fraction(-83, 81), Fraction(11620, 729)), 8),
+    ]
+    for a, pt, depth in bank:
+        curve, point = Curve(a), affine(*pt)
+        x = point.x
+        for k in range(1, depth + 1):
+            x = (x * x - a) ** 2 / (4 * (x**3 + a * x))
+            plain = math.log(max(abs(x.numerator), x.denominator)) / (2.0 * 4.0**k)
+            assert limit_oracle(curve, point, k) == plain, (a, pt, k)
+
+
 def test_limit_oracle_errors():
     with pytest.raises(TorsionPoint):
         limit_oracle(Curve(4), affine(2, 4), 6)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from axheights.arithmetic import is_fourth_power_free
+from axheights.arithmetic import is_fourth_power_free, ord_p
 from axheights.curve import Curve, Point, affine
 from axheights.errors import NotMinimal, NotPrime, TorsionPoint, ZeroX
 from axheights.local_heights import (
@@ -64,10 +64,12 @@ def test_classify_requires_minimal():
 
 
 def test_non_prime_raises_not_prime():
-    with pytest.raises(NotPrime):
-        classify_reduction(Curve(3), 9)
-    with pytest.raises(NotPrime):
-        lambda_nonarch(Curve(3), affine(1, 2), 15)
+    for p in (9, 1, 0, 4, -3):
+        with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
+            classify_reduction(Curve(12), p)
+    for p in (15, 1, 0, 4, -3):
+        with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
+            lambda_nonarch(Curve(3), affine(1, 2), p)
 
 
 def test_classification_totality_small():
@@ -293,6 +295,9 @@ def test_correction_case_coverage():
         assert (r.kodaira, r.tamagawa) == reduction, (a, p)
         term = lambda_nonarch(curve, point, p)
         assert (term.correction_tag, term.correction) == (tag, correction), (a, point, p)
+        four_terms = (Fraction(max(0, -ord_p(point.x, p)), 2) + Fraction(r.ord_delta, 12)
+                      - term.correction)
+        assert term.coefficient == four_terms, (a, point, p)
         bd = canonical_height(curve, point)
         envelope = (0.25 * math.log(abs(a)) + 0.6) / 4.0**6
         assert abs(bd.canonical - limit_oracle(curve, point, 6)) < envelope

@@ -3,14 +3,17 @@ the search finds on the small curves: quadraticity, the parallelogram law
 and invariance under change of model.  Each identity is judged against the
 error bounds of the heights it combines, weighted by their coefficients.
 The x-only duplication map is checked against the group law on the same
-points."""
+points, and its integer core against the plain rational formula."""
 
-from hypothesis import given, settings
+import math
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from axheights.arithmetic import is_fourth_power_free
 from axheights.bounds import find_points
-from axheights.curve import Curve, Point, affine, x_after_doubling
+from axheights.curve import Curve, Point, _x_after_doubling_ints, affine, x_after_doubling
 from axheights.heights import canonical_height
 
 #: the nontorsion points of find_points(Curve(a), 12) for each
@@ -75,3 +78,24 @@ def test_x_only_doubling_matches_group_law():
         doubled = curve.double(point)
         assert x_after_doubling(3, point.x) == doubled.x, k
         point = doubled
+
+
+#: any nonzero a, including ones with a fourth-power factor
+NONZERO_A = st.one_of(
+    st.integers(-10**6, 10**6), st.integers(-10**40, 10**40), st.integers(-50, 50).map(lambda k: k * 2**8)
+).filter(bool)
+#: numerators and denominators up to 250 digits, with d = 1 drawn often
+BIG = st.integers(1, 10**250)
+
+
+@PROPERTY
+@given(NONZERO_A, st.one_of(BIG, st.integers(1, 100)), st.one_of(st.just(1), BIG), st.booleans())
+def test_integer_doubling_core_matches_fraction(a, m, d, negative):
+    g = math.gcd(m, d)
+    m, d = (-m if negative else m) // g, d // g
+    num, den = (m * m - a * d * d) ** 2, 4 * m * d * (m * m + a * d * d)
+    assume(den != 0)
+    expected = Fraction(num, den)
+    assert _x_after_doubling_ints(a, m, d) == (expected.numerator, expected.denominator)
+    x = Fraction(m, d)
+    assert x_after_doubling(a, x) == (x * x - a) ** 2 / (4 * (x**3 + a * x))
