@@ -236,15 +236,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def log_abs(x: Fraction | int) -> float:
-    """log|x| for an arbitrarily large nonzero rational.
+def log_ratio(num: int, den: int) -> float:
+    """log|num/den| for nonzero integers of any size, den > 0.
 
     ``math.log`` accepts big ints directly, so this never overflows.
     """
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroInput("log of 0")
-    num = abs(x.numerator)
-    if x.denominator == 1:
-        return math.log(num)
-    return math.log(num) - math.log(x.denominator)
+    return math.log(abs(num)) - math.log(den)

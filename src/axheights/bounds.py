@@ -22,7 +22,7 @@ from .arithmetic import (
     fourth_power_free_part,
     is_fourth_power_free,
     isqrt_exact,
-    ord_p,
+    ord_int,
     squarefree_divisors,
 )
 from .curve import Curve, Point
@@ -161,7 +161,7 @@ def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
     b1, b2 = denominator_sequence(curve, point, 2)
     group = residue_group(curve.a)
     *_, class_bound = _CLASSES[group]
-    stated = group != "g4" or ord_p(point.x, 2) != 1
+    stated = group != "g4" or ord_int(point.x.numerator, 2) != 1  # ord_2(x) = 1 iff 2 || num
     note = f"ord2(B1)={b1.ord2_B}, ord2(B2)={b2.ord2_B}, step_required={stated}"
     ok = b2.ord2_B >= class_bound and ((not stated) or b2.ord2_B >= b1.ord2_B + 2)
     return _exact("B2", ok, float(class_bound), float(b2.ord2_B), note)

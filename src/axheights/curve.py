@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,7 +57,12 @@ class Curve:
     a: int
 
     def __post_init__(self):
-        if self.a == 0:
+        try:
+            a = operator.index(self.a)
+        except TypeError:
+            raise TypeError(f"a must be an integer, got {self.a!r}") from None
+        object.__setattr__(self, "a", a)
+        if a == 0:
             raise ZeroInput("a must be nonzero (a = 0 is singular for heights)")
 
     @property
@@ -165,14 +171,10 @@ def _torsion_cached(a: int) -> TorsionStructure:
     return TorsionStructure("Z2", (zero,))
 
 
-def x_after_doubling(a: int, x: Fraction) -> Fraction:
-    """x(2P) = (x^2 - a)^2 / (4(x^3 + a x)), the x-only duplication map."""
-    return Fraction(*_x_after_doubling_ints(a, x.numerator, x.denominator))
-
-
-def _x_after_doubling_ints(a: int, m: int, d: int) -> tuple[int, int]:
-    """x(2P) = num/den in lowest terms with den > 0, for x(P) = m/d in lowest
-    terms with d > 0 and a nonzero; den = 0 raises ZeroDivisionError.
+def x_after_doubling(a: int, m: int, d: int) -> tuple[int, int]:
+    """x(2P) = (x^2 - a)^2 / (4(x^3 + a x)), the x-only duplication map, as
+    num/den in lowest terms with den > 0, for x(P) = m/d in lowest terms with
+    d > 0 and a nonzero; den = 0 raises ZeroDivisionError.
 
     num = (m^2 - a d^2)^2 and den = 4 m d (m^2 + a d^2) share only factors of
     16 a^4, because gcd(m, d) = 1: gcd(num, d) = 1, gcd(num, m) | a^2 and
@@ -189,4 +191,3 @@ def _x_after_doubling_ints(a: int, m: int, d: int) -> tuple[int, int]:
     if den < 0:
         g = -g
     return num // g, den // g
-

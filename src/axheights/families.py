@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arithmetic import is_rational_square, isqrt_exact
+from .arithmetic import isqrt_exact
 from .curve import Curve, Point, affine, x_after_doubling
 from .errors import NoRationalHalf, RowValidationFailed, ZeroInput
 
@@ -219,37 +219,31 @@ FAMILIES: dict[str, Callable[[int], ExtremalCandidate]] = {
 def halve_point(curve: Curve, xi: Fraction | int) -> list[Point]:
     """All rational points P with x(2P) = xi, one per x-coordinate.
 
-    x(2P) = ((x^2 - a)/(2y))^2 is always a rational square, so xi = sigma^2
-    is necessary; the halving quartic then splits into the two quadratics
-    x^2 - u x + a with u = 2 xi +- 2 eta/sigma, where eta^2 = xi^3 + a xi.
+    x(2P) = ((x^2 - a)/(2y))^2 is always a rational square, so xi = (s/q)^2
+    in lowest terms is necessary; the halving quartic then splits into the
+    two quadratics x^2 - u x + a with u = 2(s^2 +- r)/q^2, where
+    r^2 = s^4 + a q^4 (eta = s r/q^3 has eta^2 = xi^3 + a xi).  Each root is
+    (v +- delta)/q^2 with v = s^2 +- r and delta^2 = v^2 - a q^4, and the
+    point has y = sqrt(N (N^2 + a q^4))/q^3 for the root numerator N.
     Returns [] when no rational half exists (or xi is not on the curve).
     """
-    xi = Fraction(xi)
     a = curve.a
-    roots: set[Fraction] = set()
-    if xi < 0:
+    s, q = isqrt_exact(xi.numerator), isqrt_exact(xi.denominator)
+    if s is None or q is None:
         return []
-    if xi == 0:
-        # halves of the 2-torsion point (0, 0): x^2 = a
-        r = is_rational_square(Fraction(a))
-        if r is not None and r != 0:
-            roots.update((r, -r))
-    else:
-        sigma = is_rational_square(xi)
-        if sigma is None:
-            return []
-        eta = is_rational_square(xi**3 + a * xi)
-        if eta is None:
-            return []  # xi is not the x-coordinate of a rational point
-        for signed_eta in {eta, -eta}:
-            u = 2 * xi + 2 * signed_eta / sigma
-            disc = is_rational_square(u * u - 4 * a)
-            if disc is None:
-                continue
-            roots.update(((u + disc) / 2, (u - disc) / 2))
+    q4 = q**4
+    r = isqrt_exact(s**4 + a * q4)
+    if r is None:
+        return []  # xi is not the x-coordinate of a rational point
+    numerators: set[int] = set()
+    for v in {s * s + r, s * s - r}:
+        delta = isqrt_exact(v * v - a * q4)
+        if delta is not None:
+            numerators.update((v + delta, v - delta))
     out = []
-    for x0 in roots:
-        y = is_rational_square(x0**3 + a * x0)
-        if y is not None and y != 0 and x_after_doubling(a, x0) == xi:
-            out.append(Point(x0, y))
+    for n in numerators:
+        y = isqrt_exact(n * (n * n + a * q4))  # None off the curve, 0 at 2-torsion
+        x0 = Fraction(n, q * q)
+        if y and x_after_doubling(a, x0.numerator, x0.denominator) == (xi.numerator, xi.denominator):
+            out.append(Point(x0, Fraction(y, q**3)))
     return sorted(out, key=lambda p: p.x)

@@ -18,8 +18,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arithmetic import factorize, is_rational_square, ord_int
-from .curve import Curve, Point, _x_after_doubling_ints, x_after_doubling
+from .arithmetic import factorize, isqrt_exact, ord_int
+from .curve import Curve, Point, x_after_doubling
 from .errors import DepthExceeded, InfinityPoint, NotMinimal, TorsionPoint
 from .local_heights import (
     ArchHeightValue,
@@ -70,11 +70,7 @@ def naive_height(point: Point) -> float:
     """h(P) = log max(|s|, |t|) for x(P) = s/t in lowest terms."""
     if point.is_infinity:
         raise InfinityPoint("naive height of the point at infinity")
-    return naive_height_x(point.x)
-
-
-def naive_height_x(x: Fraction) -> float:
-    return math.log(max(abs(x.numerator), x.denominator))
+    return math.log(max(abs(point.x.numerator), point.x.denominator))
 
 
 def _to_minimal(curve: Curve, point: Point) -> tuple[Curve, Point, int]:
@@ -133,9 +129,10 @@ def _height_on_minimal(
             is_torsion=True,
         ), None, None
     minimal, q, _ = _to_minimal(curve, point)
-    arch = _lambda_inf(minimal, q.x)
+    a, m, d = minimal.a, q.x.numerator, q.x.denominator
+    arch = _lambda_inf(a, m, d)
     primes, rest = height_primes(minimal, q)
-    locals_ = tuple(_lambda_p(minimal, q.x, p) for p in primes)
+    locals_ = tuple(_lambda_p(a, m, d, p) for p in primes)
     bulk_log = 0.5 * math.log(rest)  # 0.0 when everything is itemised
     contributions = [arch.value, bulk_log] + [t.value for t in locals_]
     canonical = math.fsum(contributions)
@@ -165,7 +162,7 @@ def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
         raise TorsionPoint(f"{point} is torsion; the limit is trivially 0")
     m, d = point.x.numerator, point.x.denominator
     for _ in range(doublings):
-        m, d = _x_after_doubling_ints(curve.a, m, d)
+        m, d = x_after_doubling(curve.a, m, d)
     return math.log(max(abs(m), d)) / (2.0 * 4.0**doublings)
 
 
@@ -204,16 +201,16 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
         raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is torsion")
-    x2 = x_after_doubling(curve.a, point.x)
-    root = is_rational_square(x2)
-    if root is None:
+    num, den = x_after_doubling(curve.a, point.x.numerator, point.x.denominator)
+    # num and den are coprime: x(2P) is a rational square iff both are squares
+    delta = isqrt_exact(den)
+    if delta is None or isqrt_exact(num) is None:
         return False, {}
-    delta = root.denominator
     # x(2P) != 0: only a point of order 4 doubles to (0, 0)
-    indicator = curve.a % 16 == 4 and ord_int(x2.numerator, 2) > 0
+    indicator = curve.a % 16 == 4 and ord_int(num, 2) > 0
     residues: dict[int, Fraction] = {}
     for p in bad_primes(curve):
-        lhs = _lambda_p(curve, x2, p).coefficient
+        lhs = _lambda_p(curve.a, num, den, p).coefficient
         rhs = Fraction(ord_int(delta, p)) + Fraction(ord_int(curve.discriminant, p), 12)
         if p == 2 and indicator:
             rhs -= Fraction(1, 2)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arithmetic import factorize, is_prime, legendre_symbol, log_abs, ord_int, ord_p
+from .arithmetic import factorize, is_prime, legendre_symbol, log_ratio, ord_int
 from .curve import Curve, Point, x_after_doubling
-from .errors import NotMinimal, NotPrime, TorsionPoint, ZeroX
+from .errors import NotMinimal, NotOnCurve, NotPrime, TorsionPoint, ZeroX
 
 DEFAULT_TERMS = 40
 
@@ -156,7 +156,7 @@ def lambda_nonarch(curve: Curve, point: Point, p: int) -> NonArchLocalHeight:
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is a torsion point")
     _require_prime(p)
-    return _lambda_p(curve, point.x, p)
+    return _lambda_p(curve.a, point.x.numerator, point.x.denominator, p)
 
 
 def _require_prime(p: int) -> None:
@@ -164,18 +164,18 @@ def _require_prime(p: int) -> None:
         raise NotPrime(f"{p} is not prime")
 
 
-def _lambda_p(curve: Curve, x: Fraction, p: int) -> NonArchLocalHeight:
-    """lambda_nonarch from a and x(P) alone, for a point and prime the caller
-    has checked."""
-    row, ord_delta = _reduction(curve.a, p)
-    ord_x = ord_int(x.numerator, p) - ord_int(x.denominator, p)
+def _lambda_p(a: int, m: int, d: int, p: int) -> NonArchLocalHeight:
+    """lambda_nonarch from a and x(P) = m/d (lowest terms, d > 0) alone, for
+    a point and prime the caller has checked."""
+    row, ord_delta = _reduction(a, p)
+    ord_x = ord_int(m, p) - ord_int(d, p)
     v = ord_x
     if p == 2 and row.kodaira == "III":
-        # ord_2(x + a) on the literal reading: with an even denominator the
-        # valuation is negative and the case cannot fire.  x + a = 0 counts
-        # as valuation +infinity.
-        s = x + curve.a
-        v = math.inf if s == 0 else ord_p(s, 2)
+        # ord_2(x + a) = ord_2(m + a d) - ord_2(d), as gcd(m + a d, d) = 1: with
+        # an even denominator the valuation is negative and the case cannot
+        # fire.  x + a = 0 counts as valuation +infinity.
+        s = m + a * d
+        v = math.inf if s == 0 else ord_int(s, 2) - ord_int(d, 2)
     correction, tag = next(((value, tag) for least, value, tag in row.corrections if v >= least),
                            _NO_CORRECTION)
     coefficient = Fraction(6 * max(0, -ord_x) + ord_delta, 12) - correction
@@ -212,28 +212,32 @@ def z_value(curve: Curve, point: Point) -> float:
     """The Tate-series term z for this point on the appropriate model.
 
     a < 0: z = (1 - a/x^2)^2 on the curve itself (x != 0 required).
-    a > 0: z = 1 - 8(w(1-w))^2 with w = sqrt(a)/(x + sqrt(a)).
+    a > 0: z = 1 - 8(w(1-w))^2 with w = sqrt(a)/(x + sqrt(a)); x < 0 raises
+    NotOnCurve, as x^3 + a x < 0 there.
     """
     if point.is_infinity:
         raise ZeroX("z is undefined at infinity")
-    x = point.x
-    if curve.a < 0:
-        if x == 0:
+    a, m, d = curve.a, point.x.numerator, point.x.denominator
+    if a < 0:
+        if m == 0:
             raise ZeroX("z is undefined at x = 0 for a < 0")
         try:
-            t2 = float(Fraction(curve.a) / (x * x))
+            t2 = a * d * d / (m * m)
         except OverflowError:
             return math.inf
         return (1.0 - t2) ** 2
-    return _z_pos(_translated_start(curve.a, x)[1])
+    if m < 0:
+        raise NotOnCurve(f"no real point of y^2 = x^3 + {a}x has x = {point.x} < 0")
+    return _z_pos(_translated_start(a, m, d)[1])
 
 
-def _translated_start(a: int, x: Fraction) -> tuple[float, float]:
+def _translated_start(a: int, m: int, d: int) -> tuple[float, float]:
     """(log u, w) with u = 1 + x/sqrt(a) and w = 1/u = sqrt(a)/(x + sqrt(a)),
-    for a > 0 and x >= 0; safe for huge x, where u is taken as x/sqrt(a)."""
-    if x == 0:
+    for a > 0 and x = m/d >= 0 in lowest terms; safe for huge x, where u is
+    taken as x/sqrt(a)."""
+    if m == 0:
         return 0.0, 1.0
-    lq = log_abs(x) - 0.5 * math.log(a)  # log of q = x/sqrt(a)
+    lq = log_ratio(m, d) - 0.5 * math.log(a)  # log of q = x/sqrt(a)
     if lq > 300.0:
         return lq, math.exp(-lq)
     q = math.exp(lq)
@@ -255,20 +259,20 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
     """
     if curve.is_torsion(point):
         raise TorsionPoint(f"{point} is a torsion point")
-    return _lambda_inf(curve, point.x)
+    return _lambda_inf(curve.a, point.x.numerator, point.x.denominator)
 
 
-def _lambda_inf(curve: Curve, x: Fraction) -> ArchHeightValue:
-    """lambda_archimedean from a and x(P) alone, for a point the caller checked."""
-    a = curve.a
+def _lambda_inf(a: int, m: int, d: int) -> ArchHeightValue:
+    """lambda_archimedean from a and x(P) = m/d (lowest terms, d > 0) alone,
+    for a point the caller checked."""
     series = 0.0
     if a < 0:
         # k = 0 term via x^4 z = (x^2 - a)^2; then iterate from 2P, which
         # lies on the identity component so every t_k is in (0, 1).
         # log z = 2 log(1 + t^2), so the k-th term is 4^-k log1p(t^2)/4.
-        first = 0.25 * log_abs(x * x - a)
-        x2 = x_after_doubling(a, x)
-        t = math.exp(0.5 * math.log(-a) - log_abs(x2))
+        # x^2 - a = (m^2 - a d^2)/d^2 in lowest terms
+        first = 0.25 * log_ratio(m * m - a * d * d, d * d)
+        t = math.exp(0.5 * math.log(-a) - log_ratio(*x_after_doubling(a, m, d)))
         weight = 0.25
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25
@@ -278,7 +282,7 @@ def _lambda_inf(curve: Curve, x: Fraction) -> ArchHeightValue:
             t = _step_neg(t)
     else:
         la = math.log(a)
-        log_u0, w = _translated_start(a, x)
+        log_u0, w = _translated_start(a, m, d)
         first = 0.25 * la + 0.5 * log_u0 + 0.125 * math.log(_z_pos(w))
         weight = 0.125
         for _ in range(DEFAULT_TERMS):
@@ -287,5 +291,5 @@ def _lambda_inf(curve: Curve, x: Fraction) -> ArchHeightValue:
             if w == 0.0:
                 break
             series += weight * math.log(_z_pos(w))
-    value = first + series - log_abs(curve.discriminant) / 12.0
+    value = first + series - math.log(64 * abs(a) ** 3) / 12.0  # log|disc|
     return ArchHeightValue(value, tail_bound(DEFAULT_TERMS), DEFAULT_TERMS)

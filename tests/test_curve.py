@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from axheights.arithmetic import is_rational_square, squarefree_decompose
-from axheights.curve import INFINITY, Curve, _x_after_doubling_ints, affine, x_after_doubling
+from axheights.curve import INFINITY, Curve, affine, x_after_doubling
 from axheights.errors import NotOnCurve, ZeroInput
 
 
@@ -144,6 +144,10 @@ def test_public_api_names_resolve():
 def test_x_after_doubling_infinite_at_two_torsion(a, x):
     # x = 0 and x^2 = -a are the x-coordinates of the 2-torsion points
     with pytest.raises(ZeroDivisionError):
-        x_after_doubling(a, Fraction(x))
-    with pytest.raises(ZeroDivisionError):
-        _x_after_doubling_ints(a, x, 1)
+        x_after_doubling(a, x, 1)
+
+
+@pytest.mark.parametrize("a", [3.0, -2.0, Fraction(3)], ids=["3.0", "-2.0", "Fraction(3)"])
+def test_curve_rejects_non_integer_a(a):
+    with pytest.raises(TypeError, match="a must be an integer"):
+        Curve(a)

@@ -6,7 +6,7 @@ import pytest
 
 from axheights.arithmetic import is_fourth_power_free, ord_p
 from axheights.curve import Curve, Point, affine
-from axheights.errors import NotMinimal, NotPrime, TorsionPoint, ZeroX
+from axheights.errors import NotMinimal, NotOnCurve, NotPrime, TorsionPoint, ZeroX
 from axheights.local_heights import (
     _z_pos,
     bad_primes,
@@ -227,6 +227,14 @@ def test_z_value_examples():
     assert z_value(Curve(4), affine(2, 4)) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ZeroX):
         z_value(Curve(-2), Point(Fraction(0), Fraction(0)))
+
+
+@pytest.mark.parametrize("a, x", [(4, -1), (4, -2), (1, Fraction(-1, 3)), (10**30, -10**40)])
+def test_z_value_rejects_negative_x_for_positive_a(a, x):
+    # x^3 + a x < 0 for x < 0 < a, so no real point has such an x; at
+    # x = -sqrt(a) the translated w = sqrt(a)/(x + sqrt(a)) is undefined
+    with pytest.raises(NotOnCurve, match="no real point"):
+        z_value(Curve(a), Point(Fraction(x), Fraction(0)))
 
 
 def test_z_range_negative_a():
