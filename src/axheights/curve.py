@@ -12,7 +12,7 @@ from .arithmetic import fourth_power_free_part, is_fourth_power_free, isqrt_exac
 from .errors import NotOnCurve, ZeroInput
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A rational point: affine (x, y) or the point at infinity (None, None)."""
 
@@ -85,7 +85,11 @@ class Curve:
         """True iff the point satisfies y^2 = x^3 + a*x exactly."""
         if point.is_infinity:
             return True
-        return point.y * point.y == point.x**3 + self.a * point.x
+        m, d = point.x.numerator, point.x.denominator
+        n, f = point.y.numerator, point.y.denominator
+        # x^3 + a x = m(m^2 + a d^2)/d^3 is in lowest terms, as gcd(m, d) = 1
+        # gives gcd(m^2 + a d^2, d) = 1, and so is y^2 = n^2/f^2
+        return f * f == d**3 and n * n == m * (m * m + self.a * d * d)
 
     def _require(self, *points: Point) -> None:
         for p in points:
@@ -95,15 +99,7 @@ class Curve:
     def double(self, point: Point) -> Point:
         """2P; returns infinity for P = O and for 2-torsion (y = 0)."""
         self._require(point)
-        return self._double_raw(point)
-
-    def _double_raw(self, point: Point) -> Point:
-        if point.is_infinity or point.y == 0:
-            return INFINITY
-        x, y = point.x, point.y
-        lam = (3 * x * x + self.a) / (2 * y)
-        x2 = lam * lam - 2 * x
-        return Point(x2, lam * (x - x2) - y)
+        return self._add_raw(point, point)
 
     def add(self, p: Point, q: Point) -> Point:
         """Chord-tangent group law."""
@@ -116,10 +112,12 @@ class Curve:
         if q.is_infinity:
             return p
         if p.x == q.x:
+            # q = -p, or p = q of order 2: the vertical line
             if p.y == -q.y:
                 return INFINITY
-            return self._double_raw(p)
-        lam = (q.y - p.y) / (q.x - p.x)
+            lam = (3 * p.x * p.x + self.a) / (2 * p.y)
+        else:
+            lam = (q.y - p.y) / (q.x - p.x)
         x3 = lam * lam - p.x - q.x
         return Point(x3, lam * (p.x - x3) - p.y)
 
@@ -134,7 +132,7 @@ class Curve:
                 result = self._add_raw(result, base)
             n >>= 1
             if n:
-                base = self._double_raw(base)
+                base = self._add_raw(base, base)
         return result
 
     def torsion_subgroup(self) -> TorsionStructure:

@@ -1,10 +1,12 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from axheights.arithmetic import is_rational_square, squarefree_decompose
-from axheights.curve import INFINITY, Curve, affine, x_after_doubling
+from axheights.arithmetic import is_fourth_power_free, is_rational_square, squarefree_decompose
+from axheights.bounds import find_points
+from axheights.curve import INFINITY, Curve, Point, affine, x_after_doubling
 from axheights.errors import NotOnCurve, ZeroInput
 
 
@@ -13,6 +15,24 @@ def test_on_curve_examples():
     assert Curve(-2).contains(affine(-1, 1))
     assert not Curve(3).contains(affine(1, 3))
     assert Curve(3).contains(INFINITY)
+
+
+def test_contains_checks_the_denominators():
+    # n^2 = m(m^2 + a d^2) holds for (1, 2/3) and (1/4, 7/4) on a = 3; only
+    # f^2 != d^3 rejects them (9 != 1 and 16 != 64)
+    for x, y in ((1, Fraction(2, 3)), (Fraction(1, 4), Fraction(7, 4))):
+        point = affine(x, y)
+        m, d = point.x.numerator, point.x.denominator
+        assert point.y.numerator ** 2 == m * (m * m + 3 * d * d)
+        assert not Curve(3).contains(point)
+
+
+def test_point_is_slotted_and_pickles():
+    point = affine(Fraction(-272, 81), Fraction(3196, 729))
+    assert not hasattr(point, "__dict__")
+    for p in (point, -point, INFINITY):
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and copy.is_infinity == p.is_infinity
 
 
 def test_curve_invariants():
@@ -151,3 +171,47 @@ def test_x_after_doubling_infinite_at_two_torsion(a, x):
 def test_curve_rejects_non_integer_a(a):
     with pytest.raises(TypeError, match="a must be an integer"):
         Curve(a)
+
+
+def _textbook_add(a, p, q):
+    """P + Q on y^2 = x^3 + a x: the line through P and Q (the tangent when
+    P = Q) meets the curve a third time at -(P + Q)."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    (x1, y1), (x2, y2) = (p.x, p.y), (q.x, q.y)
+    if x1 != x2:
+        slope = (y2 - y1) / (x2 - x1)
+    elif y1 == y2 and y1 != 0:
+        slope = (3 * x1 * x1 + a) / (y1 + y1)
+    else:
+        return INFINITY
+    x3 = slope**2 - x1 - x2
+    return Point(x3, -(y1 + slope * (x3 - x1)))
+
+
+#: every point find_points(., 10) finds, their negatives, the torsion and O,
+#: for each fourth-power-free |a| <= 30
+GROUP = {
+    a: sorted(
+        {INFINITY, *Curve(a).torsion_subgroup().points}
+        | {r for p in find_points(Curve(a), 10) for r in (p, -p)},
+        key=str,
+    )
+    for a in range(-30, 31)
+    if a != 0 and is_fourth_power_free(a)
+}
+
+
+@pytest.mark.parametrize("a", sorted(GROUP))
+def test_group_law_matches_textbook(a):
+    c, points = Curve(a), GROUP[a]
+    for p in points:
+        assert c.double(p) == _textbook_add(a, p, p), p
+        for q in points:
+            assert c.add(p, q) == _textbook_add(a, p, q), (p, q)
+        total = INFINITY
+        for k in range(13):
+            assert c.multiply(k, p) == total, (p, k)
+            total = c.add(total, p)

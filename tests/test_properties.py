@@ -3,8 +3,9 @@ the search finds on the small curves: quadraticity, the parallelogram law
 and invariance under change of model.  Each identity is judged against the
 error bounds of the heights it combines, weighted by their coefficients.
 The x-only duplication map is checked against the group law on the same
-points and against the plain rational formula, and the archimedean local
-height on the integer pair against the Fraction route."""
+points and against the plain rational formula, the archimedean local
+height on the integer pair against the Fraction route, and the membership
+test against the plain Fraction equation."""
 
 import math
 from fractions import Fraction
@@ -159,3 +160,53 @@ def test_lambda_inf_matches_fraction_route(a, m, d, negative):
     assume(a > 0 or m * (m * m + a * d * d) != 0)
     value = _lambda_inf(a, m, d).value
     assert value.hex() == fraction_lambda_inf(a, Fraction(m, d)).hex(), (a, m, d)
+
+
+def _multiples(a: int, point: Point):
+    """kP for k = 1, 2, ... while x(kP) has at most 250 digits."""
+    multiple = point
+    while max(abs(multiple.x.numerator), multiple.x.denominator) < 10**250:
+        yield multiple
+        multiple = Curve(a).add(multiple, point)
+
+
+MULTIPLES = [(a, multiple) for a, point in POINTS for multiple in _multiples(a, point)]
+
+
+@st.composite
+def on_curve(draw):
+    """(a, P) with P on y^2 = x^3 + a x: a bank multiple, (0, 0), a point
+    (+-r, 0) on a = -r^2 or (2t^2, +-4t^3) on a = 4t^4, carried to the
+    model a s^4 by (x, y) -> (s^2 x, s^3 y)."""
+    kind = draw(st.sampled_from(["multiple", "origin", "two-torsion", "four-torsion"]))
+    if kind == "multiple":
+        a, point = draw(st.sampled_from(MULTIPLES))
+    elif kind == "origin":
+        a, point = draw(st.integers(-60, 60).filter(bool)), affine(0, 0)
+    elif kind == "two-torsion":
+        r = draw(st.integers(1, 30))
+        a, point = -r * r, affine(draw(st.sampled_from([r, -r])), 0)
+    else:
+        t = draw(st.integers(1, 5))
+        a, point = 4 * t**4, affine(2 * t * t, draw(st.sampled_from([4, -4])) * t**3)
+    s = draw(st.integers(1, 3))
+    return a * s**4, Point(point.x * s**2, point.y * s**3)
+
+
+PERTURBATIONS = {
+    "none": lambda x, y: (x, y),
+    "y+1": lambda x, y: (x, y + 1),
+    "y/3": lambda x, y: (x, y / 3),
+    "x+1": lambda x, y: (x + 1, y),
+    "x/4": lambda x, y: (x / 4, y),
+}
+
+
+@PROPERTY
+@given(on_curve(), st.sampled_from(sorted(PERTURBATIONS)))
+def test_contains_matches_fraction_equation(sample, perturbation):
+    a, point = sample
+    x, y = point.x, point.y
+    assert y * y == x**3 + a * x, (a, point)
+    x, y = PERTURBATIONS[perturbation](x, y)
+    assert Curve(a).contains(Point(x, y)) == (y * y == x**3 + a * x), (a, point, perturbation)
