@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import FactorizationBudgetExceeded, NotOddPrime, NotPrime, ZeroInput
 
@@ -23,15 +23,15 @@ TRIAL_BOUND = 100_000
 RHO_BUDGET = 2_000_000
 
 
-@lru_cache(maxsize=8)
-def small_primes(bound: int = TRIAL_BOUND) -> tuple[int, ...]:
-    """All primes up to ``bound``, via a plain sieve."""
-    sieve = bytearray([1]) * (bound + 1)
+@cache
+def small_primes() -> tuple[int, ...]:
+    """All primes up to ``TRIAL_BOUND``, via a plain sieve."""
+    sieve = bytearray([1]) * (TRIAL_BOUND + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
+    for p in range(2, math.isqrt(TRIAL_BOUND) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return tuple(i for i in range(bound + 1) if sieve[i])
+    return tuple(i for i in range(TRIAL_BOUND + 1) if sieve[i])
 
 
 def is_prime(n: int) -> bool:

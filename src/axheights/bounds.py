@@ -315,13 +315,11 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
     For each (b1, e) the candidate M form a bitmask over [1, bound], cut
     before any square root is taken:
     - to the M coprime to e;
-    - to the M with N^2 >= 0: when the two terms have opposite signs,
-      M <= (b2 e^4/|b1|)^(1/4) for b1 < 0 and M >= (|b2| e^4/b1)^(1/4)
-      for b2 < 0, with integer fourth roots, so equality (N = 0, the
-      points (+-k, 0) on a = -k^2) stays in range;
     - for each modulus q of _SIEVE_MODULI, to the M whose class of M^4
       makes b1*M^4 + b2*e^4 a square mod q (ratpoints' residue sieve).
-    Only the M that survive reach isqrt.
+    Only the M that survive reach isqrt_exact, which rejects a negative
+    value before it takes a root; N = 0 (the points (+-k, 0) on a = -k^2)
+    is a square like any other.
     """
     a = curve.a
     coprime, sieves = _sieve_tables(search_bound)
@@ -338,16 +336,7 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
                 if math.gcd(d, e) != 1:
                     continue
                 b2e4 = b2 * e**4
-                lo, hi = 1, search_bound
-                if b1 < 0:
-                    hi = min(hi, math.isqrt(math.isqrt(b2e4 // -b1)))
-                elif b2 < 0:
-                    least = -(b2e4 // b1)  # ceil(|b2| e^4 / b1) <= M^4
-                    lo = math.isqrt(math.isqrt(least))
-                    lo += lo**4 < least
-                if lo > hi:
-                    continue
-                mask = coprime[e] & ((1 << hi + 1) - (1 << lo))
+                mask = coprime[e]
                 for (q, squares, classes), memo in zip(sieves, allowed):
                     if not mask:
                         break

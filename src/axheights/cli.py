@@ -167,8 +167,8 @@ def _height_document(
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "a": curve.a,
-        "x": str(point.x) if not point.is_infinity else "O",
-        "y": str(point.y) if not point.is_infinity else "O",
+        "x": str(point.x),
+        "y": str(point.y),
         "naive": _fmt(bd.naive),
         "canonical": _fmt(bd.canonical),
         "difference": _fmt(bd.difference),

@@ -44,16 +44,6 @@ def pell_d(n: int) -> int:
     return _pell(n, 0, 1)
 
 
-def pell_d_certificate(d: int) -> int | None:
-    """z with 2 d^2 - z^2 = +-4, when one exists."""
-    for target in (2 * d * d - 4, 2 * d * d + 4):
-        if target >= 0:
-            z = isqrt_exact(target)
-            if z is not None:
-                return z
-    return None
-
-
 @dataclass(frozen=True)
 class ExtremalCandidate:
     """A generated (a, P) pair, validated against the curve equation."""
@@ -143,7 +133,9 @@ def family_lang_neg(residue: int, n: int) -> ExtremalCandidate:
     Builds a and the target x(2P) from the recurrence row, then halves the
     target exactly; halve_point returns only points on the curve whose
     double has x = target, so the candidate needs no second check.
-    NoRationalHalf signals an index whose Pell condition fails.
+    NoRationalHalf signals an index whose Pell condition fails, checked
+    before a degenerate index (a >= 0): lang-neg-4 at n = 0 halves (to the
+    order-4 point (2, 4) on a = 4) and at n = 1 does not.
     """
     if residue not in _LANG_NEG_ROWS:
         raise ZeroInput(f"residue must be 1..15, got {residue}")
@@ -155,10 +147,6 @@ def family_lang_neg(residue: int, n: int) -> ExtremalCandidate:
         d = pell_d(n)
         a = -(d**4 - 4)
         target = Fraction(d * d)
-        if pell_d_certificate(d) is None:
-            raise NoRationalHalf(
-                f"{family}(n={n}): 2*{d}^2 - z^2 = +-4 has no integer solution"
-            )
     else:
         index = step * n + offset
         c = pell_c(index)
@@ -170,11 +158,15 @@ def family_lang_neg(residue: int, n: int) -> ExtremalCandidate:
             )
         a = -(num // adiv)
         target = Fraction(c * c, xdiv)
-    if a >= 0:
-        raise NoRationalHalf(f"{family}(n={n}): degenerate index, a = {a} >= 0")
     halves = halve_point(Curve(a), target)
     if not halves:
-        raise NoRationalHalf(f"{family}(n={n}): x(2P) = {target} has no rational half")
+        # the d row halves d^2 on a = -(d^4 - 4): r = 2 and delta^2 =
+        # 2 d^2 (d^2 +- 2), so a half exists exactly when 2 d^2 +- 4 is a square
+        reason = (f"2*{d}^2 - z^2 = +-4 has no integer solution" if seq == "d"
+                  else f"x(2P) = {target} has no rational half")
+        raise NoRationalHalf(f"{family}(n={n}): {reason}")
+    if a >= 0:
+        raise NoRationalHalf(f"{family}(n={n}): degenerate index, a = {a} >= 0")
     point = max(halves, key=lambda p: p.x)
     return ExtremalCandidate(family, n, a, point, target, True)
 

@@ -268,7 +268,8 @@ def _lambda_inf(a: int, m: int, d: int) -> ArchHeightValue:
     series = 0.0
     if a < 0:
         # k = 0 term via x^4 z = (x^2 - a)^2; then iterate from 2P, which
-        # lies on the identity component so every t_k is in (0, 1).
+        # lies on the identity component so every t_k is in (0, 1), or 0.0
+        # once it underflows, a fixed point whose terms are exactly 0.0.
         # log z = 2 log(1 + t^2), so the k-th term is 4^-k log1p(t^2)/4.
         # x^2 - a = (m^2 - a d^2)/d^2 in lowest terms
         first = 0.25 * log_ratio(m * m - a * d * d, d * d)
@@ -276,8 +277,6 @@ def _lambda_inf(a: int, m: int, d: int) -> ArchHeightValue:
         weight = 0.25
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25
-            if t == 0.0:
-                break
             series += weight * math.log1p(t * t)
             t = _step_neg(t)
     else:
@@ -285,11 +284,10 @@ def _lambda_inf(a: int, m: int, d: int) -> ArchHeightValue:
         log_u0, w = _translated_start(a, m, d)
         first = 0.25 * la + 0.5 * log_u0 + 0.125 * math.log(_z_pos(w))
         weight = 0.125
+        # w = 0.0 (underflow) is a fixed point of _step_pos with log z = 0.0
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25
             w = _step_pos(w)
-            if w == 0.0:
-                break
             series += weight * math.log(_z_pos(w))
     value = first + series - math.log(64 * abs(a) ** 3) / 12.0  # log|disc|
     return ArchHeightValue(value, tail_bound(DEFAULT_TERMS), DEFAULT_TERMS)

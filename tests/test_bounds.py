@@ -291,8 +291,8 @@ def test_find_points_matches_brute_force(search_bound):
 
 @pytest.mark.parametrize("k", [1, 3, 5, 6, 7])
 def test_find_points_two_torsion_on_range_bound(k):
-    # (+-k, 0) on a = -k^2 has N = 0, so M = 1 is the range bound itself:
-    # the upper bound for b1 = -k and the lower bound for b1 = k
+    # (+-k, 0) on a = -k^2 has N = 0 at M = 1 (b1 = -k and b1 = k): the
+    # one boundary value of b1 M^4 + b2 e^4 that isqrt_exact must accept
     for search_bound in (1, 40):
         points = find_points(Curve(-k * k), search_bound)
         assert [p for p in points if p.y == 0] == [affine(-k, 0), affine(k, 0)]

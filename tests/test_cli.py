@@ -360,6 +360,12 @@ def test_extremal_commands(capsys):
     assert out == ""
     assert err == "error: lang-neg-4(n=3): 2*5^2 - z^2 = +-4 has no integer solution\n"
 
+    # a = 3 has no half, and that is reported before its index is degenerate
+    code, out, err = run(capsys, "extremal", "--family", "lang-neg-4", "--param", "1")
+    assert code == 8
+    assert out == ""
+    assert err == "error: lang-neg-4(n=1): 2*1^2 - z^2 = +-4 has no integer solution\n"
+
     code, out, err = run(capsys, "extremal", "--family", "lang-neg-4", "--param", "0")
     assert code == 8
     assert out == ""

@@ -13,7 +13,6 @@ from axheights.families import (
     halve_point,
     pell_c,
     pell_d,
-    pell_d_certificate,
 )
 from axheights.heights import canonical_height
 
@@ -24,11 +23,15 @@ def test_pell_sequences():
     assert pell_c(4) ** 2 - 2 * 12**2 == 1
 
 
-def test_pell_certificates():
-    # 2 d^2 - z^2 = +-4 is solvable exactly when the halving works
-    assert pell_d_certificate(2) == 2
-    assert pell_d_certificate(5) is None
-    assert pell_d_certificate(12) is None
+def test_lang_neg_4_halves_exactly_on_pell_solutions():
+    # lang-neg-4 halves d^2 on a = -(d^4 - 4) with no certificate of its own:
+    # a half exists exactly when 2 d^2 - z^2 = +-4 has an integer solution
+    def is_square(n):
+        return n >= 0 and math.isqrt(n) ** 2 == n
+
+    for d in range(3001):
+        pell = is_square(2 * d * d - 4) or is_square(2 * d * d + 4)
+        assert bool(halve_point(Curve(-(d**4 - 4)), d * d)) == pell, d
 
 
 def test_halve_point_examples():

@@ -10,6 +10,7 @@ test against the plain Fraction equation."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +161,19 @@ def test_lambda_inf_matches_fraction_route(a, m, d, negative):
     assume(a > 0 or m * (m * m + a * d * d) != 0)
     value = _lambda_inf(a, m, d).value
     assert value.hex() == fraction_lambda_inf(a, Fraction(m, d)).hex(), (a, m, d)
+
+
+@pytest.mark.parametrize("a", [-250, -17, -2, 3, 12, 250])
+@pytest.mark.parametrize("k", [300, 330, 400, 1000, 4000])
+@pytest.mark.parametrize("offset, d", [(1, 1), (7, 3**5)])
+def test_lambda_inf_past_underflow(a, k, offset, d):
+    # from about 324 digits t (a < 0) or w (a > 0) underflows to 0.0 at the
+    # start: the Fraction route breaks there, _lambda_inf runs every term on
+    # 0.0; k = 300 is a control that does not underflow
+    m = 10**k + offset
+    got = _lambda_inf(a, m, d)
+    assert got.value.hex() == fraction_lambda_inf(a, Fraction(m, d)).hex()
+    assert got.terms_used == DEFAULT_TERMS
 
 
 def _multiples(a: int, point: Point):
