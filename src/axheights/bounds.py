@@ -98,6 +98,12 @@ class BoundCheck:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    def __reduce__(self):
+        # pickle by value: the constructor call is cheaper to load than the
+        # per-field object.__setattr__ of a frozen, slotted dataclass
+        return BoundCheck, (self.theorem, self.bound, self.actual, self.margin,
+                            self.status, self.error_bound, self.note)
+
 
 def _verdict(theorem, bound, actual, margin, error_bound, note="") -> BoundCheck:
     if margin > error_bound:
@@ -299,18 +305,30 @@ def _locally_soluble(a: int, b1: int) -> bool:
 def find_points(curve: Curve, search_bound: int) -> list[Point]:
     """Affine points found by the descent shape of a rational point.
 
-    Every affine point with x != 0 is (b1*M^2/e^2, b1*M*N/e^3) with
+    Every affine point with x != 0 is (b1*M^2/e^2, |b1|*M*N/e^3) with
     a = b1*b2, b1 squarefree, gcd(M, e) = gcd(b1, e) = 1 and
     N^2 = b1*M^4 + b2*e^4.  b1 runs over the signed squarefree divisors of
-    a and M, e up to the bound, so the search is exhaustive up to the box;
-    x is then in lowest terms, so no x is found twice.  Returns nontorsion
-    and torsion points alike, with y >= 0, sorted by x.
+    a and M, e up to the bound, so the search is exhaustive up to the box.
+    x is then in lowest terms, so its class b1 is the squarefree part of
+    its numerator: each x belongs to one class and is found once.  Returns
+    nontorsion and torsion points alike, with y >= 0, sorted by x.
+
+    The classes b1 and b2 = a/b1 hold P and P + (0, 0), as x(P + (0, 0)) =
+    a/x(P) (the descent map sends (0, 0) to the class of a): a solution
+    (M, e, N) of the b1 quartic is the solution (e, M, N) of the b2 quartic.
+    So when b2 is squarefree too and differs from b1, the pair {b1, b2} is
+    searched once, from the class met first, and each root gives
+    (b1*M^2/e^2, |b1|*M*N/e^3) when gcd(b1, e) = 1 and
+    (b2*e^2/M^2, |b2|*e*N/M^3) when gcd(b2, M) = 1.  The pairs and the
+    classes left alone partition the classes, so no x is found twice.
 
     A quartic with no point over Q_p for some p | 2a is skipped whole
     (_locally_soluble): a rational point is a point over every Q_p, so no
-    point is lost.  For a fourth-power-free a the classes b1 that remain
-    form a 2-isogeny Selmer group (Silverman, AEC, Prop. X.4.9; Cremona,
-    Algorithms for Modular Elliptic Curves, section 3.6).
+    point is lost.  The test is the same for both classes of a pair, being
+    the same equation, so it runs once per pair.  For a fourth-power-free a
+    the classes b1 that remain form a 2-isogeny Selmer group (Silverman,
+    AEC, Prop. X.4.9; Cremona, Algorithms for Modular Elliptic Curves,
+    section 3.6).
 
     For each (b1, e) the candidate M form a bitmask over [1, bound], cut
     before any square root is taken:
@@ -323,40 +341,51 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
     """
     a = curve.a
     coprime, sieves = _sieve_tables(search_bound)
+    # for a > 0 a negative b1 makes b2 negative too, and N^2 < 0
+    classes = [b for d in squarefree_divisors(a) for b in ((d, -d) if a < 0 else (d,))]
+    searched: set[int] = set()
     found: list[Point] = []
-    for d in squarefree_divisors(a):
-        # for a > 0 a negative b1 makes b2 negative too, and N^2 < 0
-        for b1 in (d, -d) if a < 0 else (d,):
-            if not _locally_soluble(a, b1):
+    for b1 in classes:
+        b2 = a // b1
+        if b2 in searched:  # met first, b2 searched the pair or failed the local test
+            continue
+        searched.add(b1)
+        if not _locally_soluble(a, b1):
+            continue
+        d1, d2 = abs(b1), abs(b2)
+        # a squarefree b2 is a class too: this pass finds its points as well
+        paired = b2 != b1 and b2 in classes
+        # per modulus, the mask allowed by each residue of b2*e^4 mod q
+        allowed: list[dict[int, int]] = [{} for _ in sieves]
+        for e in range(1, search_bound + 1):
+            own = math.gcd(d1, e) == 1
+            if not (own or paired):
                 continue
-            b2 = a // b1
-            # per modulus, the mask allowed by each residue of b2*e^4 mod q
-            allowed: list[dict[int, int]] = [{} for _ in sieves]
-            for e in range(1, search_bound + 1):
-                if math.gcd(d, e) != 1:
+            b2e4 = b2 * e**4
+            mask = coprime[e]
+            for (q, squares, residue_masks), memo in zip(sieves, allowed):
+                if not mask:
+                    break
+                r = b2e4 % q
+                sieve = memo.get(r)
+                if sieve is None:
+                    sieve = 0
+                    for f, class_mask in residue_masks:
+                        if (b1 * f + r) % q in squares:
+                            sieve |= class_mask
+                    memo[r] = sieve
+                mask &= sieve
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                m = low.bit_length() - 1
+                n = isqrt_exact(b1 * m**4 + b2e4)
+                if n is None:
                     continue
-                b2e4 = b2 * e**4
-                mask = coprime[e]
-                for (q, squares, classes), memo in zip(sieves, allowed):
-                    if not mask:
-                        break
-                    r = b2e4 % q
-                    sieve = memo.get(r)
-                    if sieve is None:
-                        sieve = 0
-                        for f, class_mask in classes:
-                            if (b1 * f + r) % q in squares:
-                                sieve |= class_mask
-                        memo[r] = sieve
-                    mask &= sieve
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    m = low.bit_length() - 1
-                    n = isqrt_exact(b1 * m**4 + b2e4)
-                    if n is not None:
-                        x = Fraction(b1 * m * m, e * e)
-                        found.append(Point(x, Fraction(d * m * n, e**3)))
+                if own:
+                    found.append(Point(Fraction(b1 * m * m, e * e), Fraction(d1 * m * n, e**3)))
+                if paired and math.gcd(d2, m) == 1:
+                    found.append(Point(Fraction(b2 * e * e, m * m), Fraction(d2 * e * n, m**3)))
     found.sort(key=lambda p: p.x)
     return found
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from axheights import bounds
 from axheights.arithmetic import is_fourth_power_free, isqrt_exact, ord_p, squarefree_divisors
 from axheights.bounds import (
+    BoundCheck,
     certify_point,
     check_b2_bounds,
     corollary_bound,
@@ -412,6 +415,15 @@ def test_sweep_isolates_a_failing_curve(monkeypatch, fake_pool, workers):
     assert report.failures == ["a=2: ValueError('boom')"]
     assert report.rows == [r for r in clean.rows if r.a != 2]
     assert report.torsion_points == clean.torsion_points - original(2, 5)[1]
+
+
+def test_bound_checks_pickle_by_value(acceptance_sweep):
+    # the pool sends every check of every row back to the parent process
+    checks = [check for row in acceptance_sweep.rows for check in row.checks]
+    assert len(checks) > 9000 and not hasattr(checks[0], "__dict__")
+    for check in checks:
+        for clone in (pickle.loads(pickle.dumps(check)), copy.copy(check)):
+            assert type(clone) is BoundCheck and clone == check, check
 
 
 def test_sweep_oracle_envelope(acceptance_sweep):
