@@ -59,6 +59,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def _pollard_brent(n: int, budget: list[int]) -> int:
     """One nontrivial factor of composite odd ``n`` (Brent's cycle variant)."""
     rng = random.Random(n)
@@ -148,8 +153,7 @@ def ord_int(n: int, p: int) -> int:
 
 def ord_p(x: Fraction | int, p: int) -> int:
     """p-adic valuation of a nonzero rational (negative for denominators)."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _require_prime(p)
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("valuation of 0 is undefined")

@@ -133,9 +133,9 @@ def _load_config(path: str | None) -> dict:
 
 def cmd_classify(args) -> int:
     curve = Curve(args.a)
+    if args.strict_minimal:
+        curve._require_minimal()
     if not curve.is_minimal:
-        if args.strict_minimal:
-            raise NotMinimal(f"a = {args.a} is not fourth-power-free")
         minimal, s = curve.minimalize()
         print(
             f"warning: a = {args.a} is not fourth-power-free; "
@@ -309,7 +309,6 @@ def cmd_sweep(args) -> int:
         raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     with out or contextlib.nullcontext():
         report = sweep(args.amin, args.amax, args.search_bound, workers=args.workers)
-        doc = _sweep_document(report)
         if out:
             try:
                 if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # not a pipe or a device
@@ -317,14 +316,14 @@ def cmd_sweep(args) -> int:
                 if args.out.endswith(".csv"):
                     _write_sweep_csv(report, out)
                 else:
-                    json.dump(doc, out, indent=2)
+                    json.dump(_sweep_document(report), out, indent=2)
                     out.write("\n")
                 out.close()  # inside the guard: the last flush can fail too
             except OSError as exc:
                 raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
             print(f"wrote {len(report.rows)} rows to {args.out}")
         else:
-            summary = dict(doc)
+            summary = _sweep_document(report)
             summary.pop("rows")
             print(json.dumps(summary, indent=2))
     if report.violations:

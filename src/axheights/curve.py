@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arithmetic import fourth_power_free_part, is_fourth_power_free, isqrt_exact
-from .errors import NotOnCurve, ZeroInput
+from .errors import NotMinimal, NotOnCurve, TorsionPoint, ZeroInput
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +95,14 @@ class Curve:
         for p in points:
             if not self.contains(p):
                 raise NotOnCurve(f"{p} is not on y^2 = x^3 + {self.a}x")
+
+    def _require_minimal(self) -> None:
+        if not self.is_minimal:
+            raise NotMinimal(f"a = {self.a} is not fourth-power-free")
+
+    def _require_nontorsion(self, point: Point) -> None:
+        if self.is_torsion(point):
+            raise TorsionPoint(f"{point} is torsion; its canonical height is 0")
 
     def double(self, point: Point) -> Point:
         """2P; returns infinity for P = O and for 2-torsion (y = 0)."""

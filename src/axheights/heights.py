@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arithmetic import factorize, isqrt_exact, ord_int
 from .curve import Curve, Point, x_after_doubling
-from .errors import DepthExceeded, InfinityPoint, NotMinimal, TorsionPoint
+from .errors import DepthExceeded, InfinityPoint
 from .local_heights import (
     ArchHeightValue,
     NonArchLocalHeight,
@@ -158,8 +158,7 @@ def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
     """
     if doublings < 1 or doublings > MAX_DOUBLINGS:
         raise DepthExceeded(f"doublings must be in 1..{MAX_DOUBLINGS}")
-    if curve.is_torsion(point):
-        raise TorsionPoint(f"{point} is torsion; the limit is trivially 0")
+    curve._require_nontorsion(point)
     m, d = point.x.numerator, point.x.denominator
     for _ in range(doublings):
         m, d = x_after_doubling(curve.a, m, d)
@@ -168,10 +167,8 @@ def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
 
 def denominator_sequence(curve: Curve, point: Point, upto: int) -> list[DenominatorRecord]:
     """A_n/B_n = x(nP) in lowest terms for n = 1..upto."""
-    if not curve.is_minimal:
-        raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
-    if curve.is_torsion(point):
-        raise TorsionPoint(f"{point} is torsion")
+    curve._require_minimal()
+    curve._require_nontorsion(point)
     records = []
     current = point
     for n in range(1, upto + 1):
@@ -197,10 +194,8 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
     lambda_p(2P) is (1/2) max(0, -ord_p x(2P)) = ord_p(delta) there, with
     ord_p(disc) = 0 and no correction, so delta is never factored.
     """
-    if not curve.is_minimal:
-        raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
-    if curve.is_torsion(point):
-        raise TorsionPoint(f"{point} is torsion")
+    curve._require_minimal()
+    curve._require_nontorsion(point)
     num, den = x_after_doubling(curve.a, point.x.numerator, point.x.denominator)
     # num and den are coprime: x(2P) is a rational square iff both are squares
     delta = isqrt_exact(den)
@@ -209,9 +204,10 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
     # x(2P) != 0: only a point of order 4 doubles to (0, 0)
     indicator = curve.a % 16 == 4 and ord_int(num, 2) > 0
     residues: dict[int, Fraction] = {}
+    disc = curve.discriminant
     for p in bad_primes(curve):
         lhs = _lambda_p(curve.a, num, den, p).coefficient
-        rhs = Fraction(ord_int(delta, p)) + Fraction(ord_int(curve.discriminant, p), 12)
+        rhs = Fraction(ord_int(delta, p)) + Fraction(ord_int(disc, p), 12)
         if p == 2 and indicator:
             rhs -= Fraction(1, 2)
         residues[p] = lhs - rhs

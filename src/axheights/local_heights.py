@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arithmetic import factorize, is_prime, legendre_symbol, log_ratio, ord_int
+from .arithmetic import _require_prime, factorize, legendre_symbol, log_ratio, ord_int
 from .curve import Curve, Point, x_after_doubling
-from .errors import NotMinimal, NotOnCurve, NotPrime, TorsionPoint, ZeroX
+from .errors import NotOnCurve, ZeroX
 
 DEFAULT_TERMS = 40
 
@@ -73,7 +73,7 @@ class ArchHeightValue:
 
 def bad_primes(curve: Curve) -> list[int]:
     """Primes of bad reduction, i.e. the primes dividing 2a."""
-    return sorted(set(factorize(2 * curve.a)))
+    return list(factorize(2 * curve.a))
 
 
 # Reduction classes of E_a.  A row holds the Kodaira symbol, the Tamagawa
@@ -136,8 +136,7 @@ def classify_reduction(curve: Curve, p: int) -> ReductionData:
     the trace records which Tate step decides the type, for auditing.
     A p that is not prime raises NotPrime.
     """
-    if not curve.is_minimal:
-        raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
+    curve._require_minimal()
     _require_prime(p)
     row, ord_delta = _reduction(curve.a, p)
     tamagawa, trace = row.tamagawa, row.trace
@@ -151,17 +150,10 @@ def lambda_nonarch(curve: Curve, point: Point, p: int) -> NonArchLocalHeight:
     """Exact local height at a finite prime for an affine nontorsion point:
     coefficient = (1/2) max(0, -ord_p(x)) + (1/12) ord_p(disc) - correction.
     A p that is not prime raises NotPrime."""
-    if not curve.is_minimal:
-        raise NotMinimal(f"a = {curve.a} is not fourth-power-free")
-    if curve.is_torsion(point):
-        raise TorsionPoint(f"{point} is a torsion point")
+    curve._require_minimal()
+    curve._require_nontorsion(point)
     _require_prime(p)
     return _lambda_p(curve.a, point.x.numerator, point.x.denominator, p)
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
 
 
 def _lambda_p(a: int, m: int, d: int, p: int) -> NonArchLocalHeight:
@@ -222,10 +214,9 @@ def z_value(curve: Curve, point: Point) -> float:
         if m == 0:
             raise ZeroX("z is undefined at x = 0 for a < 0")
         try:
-            t2 = a * d * d / (m * m)
+            return (1.0 - a * d * d / (m * m)) ** 2
         except OverflowError:
             return math.inf
-        return (1.0 - t2) ** 2
     if m < 0:
         raise NotOnCurve(f"no real point of y^2 = x^3 + {a}x has x = {point.x} < 0")
     return _z_pos(_translated_start(a, m, d)[1])
@@ -257,8 +248,7 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
     (x^2 - a) and of x, taken with big-integer logs, so huge coordinates
     never overflow.
     """
-    if curve.is_torsion(point):
-        raise TorsionPoint(f"{point} is a torsion point")
+    curve._require_nontorsion(point)
     return _lambda_inf(curve.a, point.x.numerator, point.x.denominator)
 
 

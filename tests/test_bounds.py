@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from axheights import bounds
-from axheights.arithmetic import is_fourth_power_free, isqrt_exact, ord_p, squarefree_divisors
+from axheights.arithmetic import (
+    is_fourth_power_free,
+    isqrt_exact,
+    ord_int,
+    ord_p,
+    squarefree_divisors,
+)
 from axheights.bounds import (
     BoundCheck,
     certify_point,
@@ -18,9 +24,9 @@ from axheights.bounds import (
     residue_group,
     sweep,
 )
-from axheights.curve import Curve, Point, affine
+from axheights.curve import Curve, Point, affine, x_after_doubling
 from axheights.errors import AxHeightsError, NotMinimal, ZeroInput
-from axheights.heights import limit_oracle
+from axheights.heights import denominator_sequence, limit_oracle
 
 LOG2 = math.log(2.0)
 
@@ -194,6 +200,22 @@ def test_ord2_x_is_one_or_even_when_a_is_4_mod_16():
                 assert v == 1 or v % 2 == 0, (a, point, n)
                 valuations.add(v)
     assert 1 in valuations and 0 in valuations
+
+
+def test_b2_valuations_match_the_x_only_map(acceptance_sweep):
+    # B2 reads ord_2 of the denominators of x(P) and x(2P) from
+    # denominator_sequence, which walks 2P by the group law; the reduced pair
+    # (m, d) and the x-only map give the same two valuations, on every
+    # acceptance-sweep point and on kP (k <= 40) for P = (-1, 4) on a = -17
+    cases = [(Curve(r.a), Point(Fraction(r.x), Fraction(r.y))) for r in acceptance_sweep.rows]
+    curve = Curve(-17)
+    cases += [(curve, curve.multiply(k, affine(-1, 4))) for k in range(1, 41)]
+    assert len(cases) == 1204
+    for curve, point in cases:
+        b1, b2 = denominator_sequence(curve, point, 2)
+        m, d = point.x.numerator, point.x.denominator
+        _, den = x_after_doubling(curve.a, m, d)
+        assert (ord_int(d, 2), ord_int(den, 2)) == (b1.ord2_B, b2.ord2_B), (curve.a, point)
 
 
 def test_find_points_membership():

@@ -425,6 +425,18 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     assert out_path.read_text() == text1
 
 
+def test_csv_sweep_formats_each_row_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    record = cli._sweep_row_record
+    monkeypatch.setattr(cli, "_sweep_row_record", lambda row: calls.append(row) or record(row))
+    out_path = tmp_path / "r.csv"
+    code, _, _ = run(capsys, *_frozen_sweep_argv("1", out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / "sweep_m20_20_b30.csv").read_bytes()
+    rows = out_path.read_text().splitlines()[3:]  # two comment lines, then the header
+    assert len(calls) == len(rows) > 0
+
+
 @pytest.mark.parametrize(
     "workers, suffix", [("1", "json"), ("2", "json"), ("1", "csv")]
 )

@@ -227,6 +227,9 @@ def test_z_value_examples():
     assert z_value(Curve(4), affine(2, 4)) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ZeroX):
         z_value(Curve(-2), Point(Fraction(0), Fraction(0)))
+    # a tiny |x| on a < 0: a/x^2 overflows a float, or its square does
+    for x in (Fraction(-1, 10**160), Fraction(-1, 10**100)):
+        assert z_value(Curve(-2), Point(x, Fraction(0))) == math.inf
 
 
 @pytest.mark.parametrize("a, x", [(4, -1), (4, -2), (1, Fraction(-1, 3)), (10**30, -10**40)])
