@@ -184,14 +184,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 def fourth_power_free_part(a: int) -> tuple[int, int]:
     """Write ``a = a4f * s**4`` with ``a4f`` fourth-power-free.
 
-    From ``a = u * v**2`` and ``v = w * s**2`` (both squarefree decompositions)
-    ``a4f = u * w**2``, in which every prime has exponent at most 3.
+    ``s`` is the product of ``p**(e // 4)`` over ``|a| = prod p**e``, read from
+    the one factorisation of ``a``; every prime of ``a4f`` has exponent at most 3.
     """
     if a == 0:
         raise ZeroInput("0 has no fourth-power-free part")
-    u, v = squarefree_decompose(a)
-    w, s = squarefree_decompose(v)
-    return u * w * w, s
+    s = math.prod(p ** (e // 4) for p, e in factorize(a).items())
+    return a // s**4, s
 
 
 def is_fourth_power_free(a: int) -> bool:

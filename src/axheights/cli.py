@@ -267,8 +267,9 @@ def _sweep_row_record(row) -> dict:
     }
 
 
-def _sweep_document(report: SweepReport) -> dict:
-    return {
+def _sweep_document(report: SweepReport, violations: list, with_rows: bool) -> dict:
+    """The JSON report; the stdout summary is the same without "rows"."""
+    document = {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
         "a_min": report.a_min,
@@ -278,11 +279,12 @@ def _sweep_document(report: SweepReport) -> dict:
         "points_certified": len(report.rows),
         "torsion_points": report.torsion_points,
         "skipped_non_minimal": report.skipped,
-        "rows": [_sweep_row_record(r) for r in report.rows],
-        "min_lang_margin_by_class": {
-            k: _fmt(v) for k, v in sorted(report.min_margins.items())
-        },
-        "violations": [list(v) for v in report.violations],
+    }
+    if with_rows:
+        document["rows"] = [_sweep_row_record(r) for r in report.rows]
+    return document | {
+        "min_lang_margin_by_class": {k: _fmt(v) for k, v in sorted(report.min_margins.items())},
+        "violations": [list(v) for v in violations],
         "failures": report.failures,
     }
 
@@ -309,6 +311,7 @@ def cmd_sweep(args) -> int:
         raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     with out or contextlib.nullcontext():
         report = sweep(args.amin, args.amax, args.search_bound, workers=args.workers)
+        violations = report.violations
         if out:
             try:
                 if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # not a pipe or a device
@@ -316,18 +319,16 @@ def cmd_sweep(args) -> int:
                 if args.out.endswith(".csv"):
                     _write_sweep_csv(report, out)
                 else:
-                    json.dump(_sweep_document(report), out, indent=2)
+                    json.dump(_sweep_document(report, violations, True), out, indent=2)
                     out.write("\n")
                 out.close()  # inside the guard: the last flush can fail too
             except OSError as exc:
                 raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
             print(f"wrote {len(report.rows)} rows to {args.out}")
         else:
-            summary = _sweep_document(report)
-            summary.pop("rows")
-            print(json.dumps(summary, indent=2))
-    if report.violations:
-        print(f"{len(report.violations)} bound violations!", file=sys.stderr)
+            print(json.dumps(_sweep_document(report, violations, False), indent=2))
+    if violations:
+        print(f"{len(violations)} bound violations!", file=sys.stderr)
     return _checks_exit(c for row in report.rows for c in row.checks)
 
 

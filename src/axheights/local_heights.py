@@ -72,8 +72,8 @@ class ArchHeightValue:
 
 
 def bad_primes(curve: Curve) -> list[int]:
-    """Primes of bad reduction, i.e. the primes dividing 2a."""
-    return list(factorize(2 * curve.a))
+    """Primes of bad reduction, i.e. the primes dividing 2a: 2 and those of a."""
+    return sorted({2, *factorize(curve.a)})
 
 
 # Reduction classes of E_a.  A row holds the Kodaira symbol, the Tamagawa

@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from axheights.arithmetic import is_fourth_power_free
 from axheights.curve import Curve, Point, affine
 from axheights.errors import NoRationalHalf, RowValidationFailed

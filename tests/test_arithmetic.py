@@ -18,12 +18,14 @@ from axheights.arithmetic import (
     squarefree_decompose,
     squarefree_divisors,
 )
+from axheights.curve import Curve
 from axheights.errors import (
     FactorizationBudgetExceeded,
     NotOddPrime,
     NotPrime,
     ZeroInput,
 )
+from axheights.local_heights import bad_primes
 
 
 @pytest.mark.parametrize(
@@ -87,6 +89,30 @@ def test_fourth_power_free_roundtrip():
         a4f, s = fourth_power_free_part(a)
         assert a4f * s**4 == a
         assert is_fourth_power_free(a4f)
+
+
+def _one_factorisation_inputs() -> list[int]:
+    """Every nonzero |a| <= 5000, then 200 seeded products of prime powers
+    (primes below 1000, exponents 0-9) times one prime above 10^10."""
+    rng = random.Random(29)
+    small = [p for p in range(2, 1000) if is_prime(p)]
+    products = []
+    for _ in range(200):
+        big = rng.randrange(10**10, 10**11)
+        while not is_prime(big):
+            big += 1
+        powers = math.prod(p ** rng.randint(0, 9) for p in rng.sample(small, 4))
+        products.append(rng.choice([1, -1]) * powers * big)
+    return [a for a in range(-5000, 5001) if a != 0] + products
+
+
+def test_one_factorisation_matches_the_old_rules():
+    # the rules that factored v (from a = u v^2) and 2a are the reference
+    for a in _one_factorisation_inputs():
+        u, v = squarefree_decompose(a)
+        w, s = squarefree_decompose(v)
+        assert fourth_power_free_part(a) == (u * w * w, s), a
+        assert bad_primes(Curve(a)) == sorted(factorize(2 * a)), a
 
 
 @pytest.mark.parametrize(

@@ -437,6 +437,18 @@ def test_csv_sweep_formats_each_row_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == len(rows) > 0
 
 
+def test_stdout_sweep_formats_no_row(capsys, monkeypatch):
+    calls = []
+    record = cli._sweep_row_record
+    monkeypatch.setattr(cli, "_sweep_row_record", lambda row: calls.append(row) or record(row))
+    code, out, _ = run(capsys, *_frozen_sweep_argv("1", "")[:-2])  # the sweep without --out
+    assert code == 0
+    assert calls == []
+    document = json.loads((DATA / "sweep_m20_20_b30.json").read_text())
+    del document["rows"]
+    assert list(json.loads(out).items()) == list(document.items())
+
+
 @pytest.mark.parametrize(
     "workers, suffix", [("1", "json"), ("2", "json"), ("1", "csv")]
 )
@@ -564,7 +576,7 @@ def _acceptance_digests(report) -> dict[str, str]:
     csv_text = io.StringIO()
     cli._write_sweep_csv(report, csv_text)
     texts = {
-        "json": json.dumps(cli._sweep_document(report), indent=2) + "\n",
+        "json": json.dumps(cli._sweep_document(report, report.violations, True), indent=2) + "\n",
         "csv": csv_text.getvalue(),
     }
     return {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in texts.items()}

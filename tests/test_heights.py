@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from axheights import bounds
+from axheights import arithmetic, bounds
 from axheights.curve import INFINITY, Curve, affine
 from axheights.errors import DepthExceeded, InfinityPoint, NotOnCurve, TorsionPoint
+from axheights.families import FAMILIES
 from axheights.heights import (
     _ITEMIZE_LIMIT,
     _to_minimal,
@@ -283,6 +284,46 @@ def test_each_point_is_checked_once(contains_calls):
     contains_calls.clear()
     nonarch_sum_identity(curve, point)
     assert len(contains_calls) == 1
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """factored(f) runs f() on cold factoring caches and returns the set of
+    numbers it factored and its number of Pollard rho calls."""
+    numbers, rho = set(), []
+    cached, pollard = arithmetic._factorize_cached, arithmetic._pollard_brent
+    monkeypatch.setattr(arithmetic, "_factorize_cached",
+                        lambda n, budget: numbers.add(n) or cached(n, budget))
+    monkeypatch.setattr(arithmetic, "_pollard_brent",
+                        lambda n, budget: rho.append(n) or pollard(n, budget))
+
+    def run(f):
+        numbers.clear()
+        rho.clear()
+        cached.cache_clear()
+        arithmetic.fourth_power_free_part.cache_clear()
+        f()
+        return numbers.copy(), len(rho)
+
+    return run
+
+
+def test_each_a_is_factored_once(factored):
+    # the minimal model and the bad primes read the one factorisation of a;
+    # beyond it only the itemised part of den x(P) is factored
+    assert factored(lambda: bounds.certify_point(Curve(48), affine(4, 16))) == ({48, 3}, 0)
+    curve = Curve(-17)
+    point = curve.multiply(5, affine(-1, 4))
+    assert point.x.denominator == 1811244930625
+
+    def certify_and_sum():
+        bounds.certify_point(curve, point)
+        nonarch_sum_identity(curve, point)
+
+    assert factored(certify_and_sum) == ({-17, 1811244930625}, 0)
+    cand = FAMILIES["diff-upper"](10**9)
+    # a = 4 * (8 a1^2 + 8 a1 + 1), whose odd part needs Pollard rho
+    assert factored(lambda: bounds.certify_point(Curve(cand.a), cand.point)) == ({cand.a}, 1)
 
 
 @pytest.mark.parametrize("a,pt", [(a, pt) for a, pt, _ in _FROZEN])
