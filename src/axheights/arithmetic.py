@@ -9,6 +9,7 @@ budget runs out we raise instead of guessing.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,7 +32,7 @@ def small_primes() -> tuple[int, ...]:
     for p in range(2, math.isqrt(TRIAL_BOUND) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return tuple(i for i in range(TRIAL_BOUND + 1) if sieve[i])
+    return tuple(itertools.compress(range(TRIAL_BOUND + 1), sieve))
 
 
 def is_prime(n: int) -> bool:

@@ -215,26 +215,71 @@ def _certify(curve: Curve, point: Point) -> tuple[list[BoundCheck], HeightBreakd
 # ---------------------------------------------------------------------------
 
 
-#: moduli of the residue sieve in find_points, the most selective first
-_SIEVE_MODULI = (256, 9, 5, 7, 11, 13, 17, 19)
+#: moduli of the residue sieve in find_points; 256 comes first, being read
+#: once per group of rows e (see _sieve_tables)
+_SIEVE_MODULI = (256, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class _ResidueMasks(dict):
+    """The residue sieve of one modulus q at one search bound, memoised.
+
+    Key (b1 mod q)*q + r, for r = b2*e^4 mod q, maps to the bitmask of the
+    M in [1, bound] that make b1*M^4 + r a square mod q.  The key alone
+    fixes the mask, so every class pair and every curve share one entry,
+    built on first use; the memo holds at most q^2 entries.  Two threads
+    that miss the same key build the same mask, so no lock is needed.
+    """
+
+    def __init__(self, q: int, search_bound: int):
+        super().__init__()
+        self.q = q
+        self.squares = frozenset(i * i % q for i in range(q))
+        # the M in [1, bound] by their class f = M^4 mod q
+        classes: dict[int, int] = {}
+        for m in range(1, search_bound + 1):
+            f = pow(m, 4, q)
+            classes[f] = classes.get(f, 0) | 1 << m
+        self.classes = tuple(classes.items())
+
+    def __missing__(self, key: int) -> int:
+        q, squares = self.q, self.squares
+        b1, r = divmod(key, q)
+        mask = 0
+        for f, class_mask in self.classes:
+            if (b1 * f + r) % q in squares:
+                mask |= class_mask
+        self[key] = mask
+        return mask
 
 
 @functools.lru_cache(maxsize=4)
 def _sieve_tables(search_bound: int):
-    """The bitmasks find_points sieves with, bit M standing for M in
-    [1, search_bound]: at index e the M coprime to e, and for each sieve
-    modulus q its squares and the masks of the classes {M : M^4 = f mod q}
-    as (f, mask) pairs."""
+    """What find_points sieves with at one bound, bit M standing for M in
+    [1, search_bound]:
+
+    - coprime[e], the M coprime to e: all M but the multiples of each
+      prime p | e;
+    - the rows e grouped by e^4 mod 256, as (e^4 mod 256, ((e, e^4), ...))
+      pairs;
+    - one _ResidueMasks memo per modulus of _SIEVE_MODULI, 256 first.
+
+    The memos fill as searches run and are shared by every curve searched
+    at this bound; each holds at most q^2 entries.
+    """
     ms = range(1, search_bound + 1)
-    coprime = [0] + [sum(1 << m for m in ms if math.gcd(m, e) == 1) for e in ms]
-    sieves = []
-    for q in _SIEVE_MODULI:
-        classes: dict[int, int] = {}
-        for m in ms:
-            f = pow(m, 4, q)
-            classes[f] = classes.get(f, 0) | 1 << m
-        sieves.append((q, frozenset(i * i % q for i in range(q)), tuple(classes.items())))
-    return coprime, tuple(sieves)
+    full = sum(1 << m for m in ms)
+    coprime = [0] + [full] * search_bound
+    for p in ms[1:]:
+        if coprime[p] != full:  # a smaller prime divides p
+            continue
+        multiples = sum(1 << m for m in range(p, search_bound + 1, p))
+        for e in range(p, search_bound + 1, p):
+            coprime[e] &= ~multiples
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for e in ms:
+        groups.setdefault(pow(e, 4, 256), []).append((e, e**4))
+    sieves = tuple(_ResidueMasks(q, search_bound) for q in _SIEVE_MODULI)
+    return coprime, tuple((g, tuple(es)) for g, es in groups.items()), sieves
 
 
 def _is_residue(c: int, k: int, p: int) -> bool:
@@ -335,12 +380,16 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
     - to the M coprime to e;
     - for each modulus q of _SIEVE_MODULI, to the M whose class of M^4
       makes b1*M^4 + b2*e^4 a square mod q (ratpoints' residue sieve).
+    The mod-256 mask depends on e only through e^4 mod 256, so it is read
+    once per group of rows e with one value of e^4 mod 256, and a group
+    whose mask is 0 is skipped whole.  The masks come from the memos of
+    _sieve_tables, shared by all classes and curves searched at the bound.
     Only the M that survive reach isqrt_exact, which rejects a negative
     value before it takes a root; N = 0 (the points (+-k, 0) on a = -k^2)
     is a square like any other.
     """
     a = curve.a
-    coprime, sieves = _sieve_tables(search_bound)
+    coprime, groups, (two_adic, *odd) = _sieve_tables(search_bound)
     # for a > 0 a negative b1 makes b2 negative too, and N^2 < 0
     classes = [b for d in squarefree_divisors(a) for b in ((d, -d) if a < 0 else (d,))]
     searched: set[int] = set()
@@ -355,37 +404,33 @@ def find_points(curve: Curve, search_bound: int) -> list[Point]:
         d1, d2 = abs(b1), abs(b2)
         # a squarefree b2 is a class too: this pass finds its points as well
         paired = b2 != b1 and b2 in classes
-        # per modulus, the mask allowed by each residue of b2*e^4 mod q
-        allowed: list[dict[int, int]] = [{} for _ in sieves]
-        for e in range(1, search_bound + 1):
-            own = math.gcd(d1, e) == 1
-            if not (own or paired):
+        key256 = b1 % 256 * 256
+        keyed = [(memo, memo.q, b1 % memo.q * memo.q) for memo in odd]
+        for g, es in groups:
+            live = two_adic[key256 + b2 * g % 256]
+            if not live:
                 continue
-            b2e4 = b2 * e**4
-            mask = coprime[e]
-            for (q, squares, residue_masks), memo in zip(sieves, allowed):
-                if not mask:
-                    break
-                r = b2e4 % q
-                sieve = memo.get(r)
-                if sieve is None:
-                    sieve = 0
-                    for f, class_mask in residue_masks:
-                        if (b1 * f + r) % q in squares:
-                            sieve |= class_mask
-                    memo[r] = sieve
-                mask &= sieve
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                m = low.bit_length() - 1
-                n = isqrt_exact(b1 * m**4 + b2e4)
-                if n is None:
+            for e, e4 in es:
+                own = math.gcd(d1, e) == 1
+                if not (own or paired):
                     continue
-                if own:
-                    found.append(Point(Fraction(b1 * m * m, e * e), Fraction(d1 * m * n, e**3)))
-                if paired and math.gcd(d2, m) == 1:
-                    found.append(Point(Fraction(b2 * e * e, m * m), Fraction(d2 * e * n, m**3)))
+                b2e4 = b2 * e4
+                mask = coprime[e] & live
+                for memo, q, key in keyed:
+                    if not mask:
+                        break
+                    mask &= memo[key + b2e4 % q]
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    m = low.bit_length() - 1
+                    n = isqrt_exact(b1 * m**4 + b2e4)
+                    if n is None:
+                        continue
+                    if own:
+                        found.append(Point(Fraction(b1 * m * m, e * e), Fraction(d1 * m * n, e**3)))
+                    if paired and math.gcd(d2, m) == 1:
+                        found.append(Point(Fraction(b2 * e * e, m * m), Fraction(d2 * e * n, m**3)))
     found.sort(key=lambda p: p.x)
     return found
 

@@ -15,6 +15,7 @@ from axheights.arithmetic import (
     ord_int,
     ord_p,
     parse_rational,
+    small_primes,
     squarefree_decompose,
     squarefree_divisors,
 )
@@ -179,6 +180,13 @@ def test_factorize_roundtrip():
             assert is_prime(p)
             out *= p**e
         assert out == n
+
+
+def test_small_primes():
+    primes = small_primes()
+    assert len(primes) == 9592 and primes[-1] == 99991
+    below = [n for n in range(2, 2000) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [p for p in primes if p < 2000] == below
 
 
 def test_factorize_budget_gives_up():

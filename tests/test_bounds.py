@@ -329,6 +329,36 @@ def test_find_points_only_torsion_on_a2():
     assert all(p.x in torsion_x for p in pts)
 
 
+@pytest.mark.parametrize("search_bound", [1, 2, 7, 30, 100, 1000])
+def test_sieve_coprime_masks_match_gcd(search_bound):
+    # built from the masks of prime multiples; bit m of coprime[e] set iff
+    # gcd(m, e) = 1, for m and e in [1, search_bound]
+    coprime = bounds._sieve_tables(search_bound)[0]
+    ms = range(1, search_bound + 1)
+    assert coprime == [0] + [sum(1 << m for m in ms if math.gcd(m, e) == 1) for e in ms]
+
+
+def test_sieve_memo_depends_on_no_history():
+    # the memos fill in whatever order the searches come: each entry equals
+    # the mask built afresh from its key, a modulus q keeps at most q^2
+    # entries, and the points equal those of fresh ascending searches
+    window = [a for a in range(-200, 201) if a != 0 and is_fourth_power_free(a)]
+    bounds._sieve_tables.cache_clear()
+    found = {}
+    for a in reversed(window):
+        for search_bound in (7, 100, 30):
+            found[a, search_bound] = find_points(Curve(a), search_bound)
+    for search_bound in (7, 30, 100):
+        for memo in bounds._sieve_tables(search_bound)[2]:
+            fresh = bounds._ResidueMasks(memo.q, search_bound)
+            assert 0 < len(memo) <= memo.q**2, (search_bound, memo.q)
+            assert all(mask == fresh[key] for key, mask in memo.items()), (search_bound, memo.q)
+    for search_bound in (7, 30, 100):
+        bounds._sieve_tables.cache_clear()
+        for a in window:
+            assert find_points(Curve(a), search_bound) == found[a, search_bound], (a, search_bound)
+
+
 def test_small_sweep_no_violations():
     report = sweep(-20, 20, search_bound=60, workers=1)
     assert report.violations == []

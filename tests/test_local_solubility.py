@@ -192,6 +192,29 @@ def test_local_test_runs_once_per_pair(monkeypatch):
     assert calls == 1418
 
 
+def test_sieve_leaves_few_square_roots(monkeypatch):
+    # at bound 100 over the acceptance window the residue sieve lets 2,989
+    # values of the quartic through to isqrt_exact (33,591 with the moduli
+    # up to 19 alone); the local test still runs once per pair
+    calls = {"isqrt_exact": 0, "_locally_soluble": 0}
+
+    def counted(name):
+        original = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(bounds, name, wrapper)
+
+    counted("isqrt_exact")
+    counted("_locally_soluble")
+    for a in range(-200, 201):
+        if a != 0 and is_fourth_power_free(a):
+            find_points(Curve(a), 100)
+    assert calls == {"isqrt_exact": 2989, "_locally_soluble": 1418}
+
+
 def _class_of(a, point):
     """b1 of the quartic a point lies on: the squarefree part of the
     numerator of x, and of a for (0, 0)."""
