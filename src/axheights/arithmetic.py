@@ -144,6 +144,9 @@ def ord_int(n: int, p: int) -> int:
         raise ValueError(f"valuation base {p} must be at least 2")
     if n == 0:
         raise ZeroInput("valuation of 0 is undefined")
+    if p == 2:
+        # the index of the lowest set bit, which n & -n isolates for either sign
+        return (n & -n).bit_length() - 1
     e = 0
     n = abs(n)
     while n % p == 0:

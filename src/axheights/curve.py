@@ -177,23 +177,62 @@ def _torsion_cached(a: int) -> TorsionStructure:
     return TorsionStructure("Z2", (zero,))
 
 
+def _doubling_terms(a: int, m: int, d: int) -> tuple[int, int, int]:
+    """(alpha, beta, g) for x(P) = m/d in lowest terms with d > 0 and a
+    nonzero: x(2P) = alpha^2 / (4 m d beta) with alpha = m^2 - a d^2 and
+    beta = m^2 + a d^2, and g > 0 the gcd of that numerator and denominator;
+    a zero denominator raises ZeroDivisionError.
+
+    num = alpha^2 and den = 4 m d beta share only factors of 16 a^4, because
+    gcd(m, d) = 1: gcd(num, d) = 1, gcd(num, m) | a^2 and gcd(num, beta) |
+    4 a^2.  So g is read from their residues mod 16 a^4, and neither has to
+    be built for it.
+    """
+    m2, ad2 = m * m, a * d * d
+    alpha, beta = m2 - ad2, m2 + ad2
+    if m == 0 or beta == 0:
+        raise ZeroDivisionError(f"x(2P) is infinite for x = {m}/{d} on a = {a}")
+    k = 16 * a**4
+    g = math.gcd(k, (alpha % k) ** 2 % k, 4 * (m % k) * (d % k) * (beta % k) % k)
+    return alpha, beta, g
+
+
 def x_after_doubling(a: int, m: int, d: int) -> tuple[int, int]:
     """x(2P) = (x^2 - a)^2 / (4(x^3 + a x)), the x-only duplication map, as
     num/den in lowest terms with den > 0, for x(P) = m/d in lowest terms with
-    d > 0 and a nonzero; den = 0 raises ZeroDivisionError.
-
-    num = (m^2 - a d^2)^2 and den = 4 m d (m^2 + a d^2) share only factors of
-    16 a^4, because gcd(m, d) = 1: gcd(num, d) = 1, gcd(num, m) | a^2 and
-    gcd(num, m^2 + a d^2) | 4 a^2.  So the gcd is taken against 16 a^4
-    instead of at full size.
+    d > 0 and a nonzero; den = 0 raises ZeroDivisionError.  See
+    _doubling_terms for the gcd.
     """
-    m2, ad2 = m * m, a * d * d
-    num = (m2 - ad2) ** 2
-    den = 4 * m * d * (m2 + ad2)
-    if den == 0:
-        raise ZeroDivisionError(f"x(2P) is infinite for x = {m}/{d} on a = {a}")
-    k = 16 * a**4
-    g = math.gcd(math.gcd(num % k, k), den % k)
+    alpha, beta, g = _doubling_terms(a, m, d)
+    den = 4 * m * d * beta
     if den < 0:
         g = -g
-    return num // g, den // g
+    return alpha * alpha // g, den // g
+
+
+#: relative slack on the float logs naive_height_after_doubling compares:
+#: math.log of an integer is off by a few ulps of its size, far below this
+_LOG_SLACK = 2.0**-40
+_LOG_4 = math.log(4.0)
+
+
+def naive_height_after_doubling(a: int, m: int, d: int) -> float:
+    """log max(|num|, den) for (num, den) = x_after_doubling(a, m, d), bit
+    for bit, building only the larger of the two.
+
+    x has about four times as many digits after a doubling, so the two
+    full-size products are most of a doubling's cost.  The float logs of
+    alpha^2 and |4 m d beta| decide which one is larger; only when they lie
+    within the slack of each other are both built.
+    """
+    alpha, beta, g = _doubling_terms(a, m, d)
+    log_den = _LOG_4 + math.log(abs(m)) + math.log(d) + math.log(abs(beta))
+    log_num = 2.0 * math.log(abs(alpha)) if alpha else -math.inf
+    margin = _LOG_SLACK * (1.0 + log_den)
+    if log_num > log_den + margin:
+        top = alpha * alpha
+    elif log_num < log_den - margin:
+        top = abs(4 * m * d * beta)
+    else:
+        top = max(alpha * alpha, abs(4 * m * d * beta))
+    return math.log(top // g)

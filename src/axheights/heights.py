@@ -7,7 +7,9 @@ exact rational multiples of log(p) at the finite places that height_primes
 selects.  canonical_height and the sum identity check their point once and
 then call those functions directly.  The limit oracle recomputes
 it independently from the definition (1/2) lim h(2^n P) / 4^n in exact
-arithmetic, and is the main cross-check for the decomposition path; the
+arithmetic, doubling x as an integer pair in lowest terms; its last
+doubling builds only the larger of the numerator and denominator, the one
+h(2^n P) reads.  It is the main cross-check for the decomposition path; the
 oracle command, the tests and the benchmark run it, the sweep does not.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import factorize, isqrt_exact, ord_int
-from .curve import Curve, Point, x_after_doubling
+from .curve import Curve, Point, naive_height_after_doubling, x_after_doubling
 from .errors import DepthExceeded, InfinityPoint
 from .local_heights import (
     ArchHeightValue,
@@ -151,7 +153,8 @@ def _height_on_minimal(
 
 def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
     """(1/2) h(2^n P) / 4^n in exact arithmetic: the definition itself,
-    doubling x(P) = m/d as a pair of integers in lowest terms.
+    doubling x(P) = m/d as a pair of integers in lowest terms.  The last
+    doubling builds only the larger of num and den, the one h reads.
 
     Independent of the local decomposition; agreement between the two is
     the core correctness check.
@@ -160,9 +163,9 @@ def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
         raise DepthExceeded(f"doublings must be in 1..{MAX_DOUBLINGS}")
     curve._require_nontorsion(point)
     m, d = point.x.numerator, point.x.denominator
-    for _ in range(doublings):
+    for _ in range(doublings - 1):
         m, d = x_after_doubling(curve.a, m, d)
-    return math.log(max(abs(m), d)) / (2.0 * 4.0**doublings)
+    return naive_height_after_doubling(curve.a, m, d) / (2.0 * 4.0**doublings)
 
 
 def denominator_sequence(curve: Curve, point: Point, upto: int) -> list[DenominatorRecord]:
@@ -207,8 +210,8 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
     disc = curve.discriminant
     for p in bad_primes(curve):
         lhs = _lambda_p(curve.a, num, den, p).coefficient
-        rhs = Fraction(ord_int(delta, p)) + Fraction(ord_int(disc, p), 12)
+        twelfths = 12 * ord_int(delta, p) + ord_int(disc, p)
         if p == 2 and indicator:
-            rhs -= Fraction(1, 2)
-        residues[p] = lhs - rhs
+            twelfths -= 6
+        residues[p] = lhs - Fraction(twelfths, 12)
     return all(r == 0 for r in residues.values()), residues

@@ -59,7 +59,8 @@ class NonArchLocalHeight:
 
     @property
     def value(self) -> float:
-        return float(self.coefficient) * math.log(self.prime)
+        # int / int is correctly rounded, as float(coefficient) is
+        return self.coefficient.numerator / self.coefficient.denominator * math.log(self.prime)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +171,11 @@ def _lambda_p(a: int, m: int, d: int, p: int) -> NonArchLocalHeight:
         v = math.inf if s == 0 else ord_int(s, 2) - ord_int(d, 2)
     correction, tag = next(((value, tag) for least, value, tag in row.corrections if v >= least),
                            _NO_CORRECTION)
-    coefficient = Fraction(6 * max(0, -ord_x) + ord_delta, 12) - correction
+    # (6 max(0, -ord_x) + ord_delta) / 12 - correction, as one Fraction
+    twelfths = 6 * max(0, -ord_x) + ord_delta
+    coefficient = Fraction(
+        twelfths * correction.denominator - 12 * correction.numerator, 12 * correction.denominator
+    )
     return NonArchLocalHeight(p, coefficient, correction, tag)
 
 
@@ -195,9 +200,11 @@ def _z_pos(w: float) -> float:
     return 1.0 - 8.0 * s * s
 
 
-def _step_pos(w: float) -> float:
+def _step_pos(w: float, z: float) -> float:
+    """The next w from w and z = _z_pos(w), which the series has already
+    taken the log of."""
     v = 1.0 - w
-    return 4.0 * w * v * (w * w + v * v) / _z_pos(w)
+    return 4.0 * w * v * (w * w + v * v) / z
 
 
 def z_value(curve: Curve, point: Point) -> float:
@@ -272,12 +279,14 @@ def _lambda_inf(a: int, m: int, d: int) -> ArchHeightValue:
     else:
         la = math.log(a)
         log_u0, w = _translated_start(a, m, d)
-        first = 0.25 * la + 0.5 * log_u0 + 0.125 * math.log(_z_pos(w))
+        z = _z_pos(w)
+        first = 0.25 * la + 0.5 * log_u0 + 0.125 * math.log(z)
         weight = 0.125
         # w = 0.0 (underflow) is a fixed point of _step_pos with log z = 0.0
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25
-            w = _step_pos(w)
-            series += weight * math.log(_z_pos(w))
+            w = _step_pos(w, z)
+            z = _z_pos(w)
+            series += weight * math.log(z)
     value = first + series - math.log(64 * abs(a) ** 3) / 12.0  # log|disc|
     return ArchHeightValue(value, tail_bound(DEFAULT_TERMS), DEFAULT_TERMS)

@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from axheights.arithmetic import is_fourth_power_free, ord_p
+from axheights import local_heights
+from axheights.arithmetic import is_fourth_power_free, ord_int, ord_p
 from axheights.curve import Curve, Point, affine
 from axheights.errors import NotMinimal, NotOnCurve, NotPrime, TorsionPoint, ZeroX
+from axheights.families import FAMILIES
 from axheights.local_heights import (
+    _ODD,
+    _TWO_ADIC,
+    _lambda_inf,
+    _lambda_p,
+    _translated_start,
     _z_pos,
     bad_primes,
     classify_reduction,
@@ -312,6 +319,73 @@ def test_correction_case_coverage():
         bd = canonical_height(curve, point)
         envelope = (0.25 * math.log(abs(a)) + 0.6) / 4.0**6
         assert abs(bd.canonical - limit_oracle(curve, point, 6)) < envelope
+
+
+def _x_with_ord(p: int, k: int) -> tuple[int, int]:
+    """x = m/d in lowest terms with ord_p(x) = k, the unit part 7/11 or 5/13."""
+    m, d = (7, 11) if p != 7 and p != 11 else (5, 13)
+    return (m * p**k, d) if k >= 0 else (m, d * p**-k)
+
+
+def _local_cases():
+    """(a, m, d, p): every class at 2 by a mod 64 and every e = ord_p(a) at
+    p = 3 and 5, with ord_p(x) in -3..3 and, for III at 2, x + a of every
+    2-adic valuation 1..3 and x + a = 0."""
+    for r in _TWO_ADIC:
+        for a in (r, r - 64):
+            yield from ((a, *_x_with_ord(2, k), 2) for k in range(-3, 4))
+            if a % 4 in (2, 3):
+                for s in (2, 4, 6, 8, 24):  # x + a = s, of 2-adic valuation 1, 2, 1, 3, 3
+                    if s != a:
+                        yield a, s - a, 1, 2
+                yield a, -a, 1, 2
+    for p in (3, 5):
+        for e in range(len(_ODD)):
+            for a in (p**e * 2, -(p**e) * 7):
+                yield from ((a, *_x_with_ord(p, k), p) for k in range(-3, 4))
+
+
+def test_lambda_p_builds_one_fraction():
+    # the coefficient built as one Fraction equals (1/12)(6 max(0, -ord x)
+    # + ord disc) minus the correction, and its value is the float of that
+    # coefficient times log p, bit for bit
+    seen = set()
+    for a, m, d, p in _local_cases():
+        term = _lambda_p(a, m, d, p)
+        ord_x = ord_int(m, p) - ord_int(d, p)
+        expected = Fraction(6 * max(0, -ord_x) + ord_int(-64 * a**3, p), 12) - term.correction
+        assert term.coefficient == expected, (a, m, d, p)
+        assert term.value.hex() == (float(expected) * math.log(p)).hex(), (a, m, d, p)
+        seen.add(term.correction_tag)
+    tags = {tag for row in (*_TWO_ADIC.values(), *_ODD) for _, _, tag in row.corrections}
+    assert seen == tags | {"otherwise"}
+
+
+def test_lambda_inf_w_escape_stays_at_its_step(monkeypatch):
+    # on lang-pos-7 at a1 = 10^6 rounding takes w to 1.0000000000000002 in
+    # one step; w then turns negative and grows until z(w) < 0 and log z
+    # raises ValueError (benchmarks/selftest.py asserts that failure).  A
+    # plain re-run that computes z(w) afresh at each step pins where it
+    # happens: the series evaluates z once per step and fails at the same w
+    cand = FAMILIES["lang-pos-7"](10**6)
+    a, m, d = cand.a, cand.point.x.numerator, cand.point.x.denominator
+    w = _translated_start(a, m, d)[1]
+    steps = 0
+    while _z_pos(w) > 0:
+        v = 1.0 - w
+        w = 4.0 * w * v * (w * w + v * v) / _z_pos(w)
+        steps += 1
+    assert steps == 26
+    seen = []
+
+    def counted(w):
+        seen.append(w)
+        return _z_pos(w)
+
+    monkeypatch.setattr(local_heights, "_z_pos", counted)
+    with pytest.raises(ValueError):
+        _lambda_inf(a, m, d)
+    assert len(seen) == steps + 1 and seen[-1] == w
 
 
 def test_arch_range_off_identity_component():

@@ -3,9 +3,11 @@ the search finds on the small curves: quadraticity, the parallelogram law
 and invariance under change of model.  Each identity is judged against the
 error bounds of the heights it combines, weighted by their coefficients.
 The x-only duplication map is checked against the group law on the same
-points and against the plain rational formula, the archimedean local
-height on the integer pair against the Fraction route, and the membership
-test against the plain Fraction equation."""
+points and against the plain rational formula, the naive height of its
+image, built from the larger side only, against the full pair, ord_int at
+2 against the division loop, the archimedean local height on the integer
+pair against the Fraction route, and the membership test against the plain
+Fraction equation."""
 
 import math
 from fractions import Fraction
@@ -14,11 +16,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from axheights.arithmetic import is_fourth_power_free
+from axheights.arithmetic import is_fourth_power_free, ord_int
 from axheights.bounds import find_points
-from axheights.curve import Curve, Point, affine, x_after_doubling
+from axheights.curve import (
+    _LOG_SLACK,
+    Curve,
+    Point,
+    affine,
+    naive_height_after_doubling,
+    x_after_doubling,
+)
+from axheights.errors import ZeroInput
 from axheights.heights import canonical_height
-from axheights.local_heights import DEFAULT_TERMS, _lambda_inf, _step_neg, _step_pos, _z_pos
+from axheights.local_heights import DEFAULT_TERMS, _lambda_inf, _step_neg, _z_pos
 
 #: the nontorsion points of find_points(Curve(a), 12) for each
 #: fourth-power-free |a| <= 60 that has one
@@ -108,10 +118,142 @@ def test_integer_doubling_core_matches_fraction(a, m, d, negative):
     assert x_after_doubling(a, m, d) == _pair((x * x - a) ** 2 / (4 * (x**3 + a * x)))
 
 
+def _plain_height_after_doubling(a: int, m: int, d: int) -> float:
+    num, den = x_after_doubling(a, m, d)
+    return math.log(max(abs(num), den))
+
+
+def _log_gap(a: int, m: int, d: int) -> tuple[float, float]:
+    """(log num - log|den| before reduction, the helper's margin), from the
+    same float logs the helper compares."""
+    alpha, beta = m * m - a * d * d, m * m + a * d * d
+    log_den = math.log(4.0) + math.log(abs(m)) + math.log(d) + math.log(abs(beta))
+    return 2.0 * math.log(abs(alpha)) - log_den, _LOG_SLACK * (1.0 + log_den)
+
+
+@PROPERTY
+@given(NONZERO_A, st.one_of(BIG, st.integers(1, 100)), st.one_of(st.just(1), BIG), st.booleans())
+def test_height_after_doubling_matches_the_pair(a, m, d, negative):
+    g = math.gcd(m, d)
+    m, d = (-m if negative else m) // g, d // g
+    assume(m * m + a * d * d != 0)
+    got = naive_height_after_doubling(a, m, d)
+    assert got.hex() == _plain_height_after_doubling(a, m, d).hex(), (a, m, d)
+
+
+def _pell_3(k: int) -> tuple[int, int]:
+    """(m, d) with m + d sqrt(3) = (2 + sqrt(3))^k, so m^2 - 3 d^2 = 1."""
+    m, d = 1, 0
+    for _ in range(k):
+        m, d = 2 * m + 3 * d, m + 2 * d
+    return m, d
+
+
+def _two_power_multiple_x(a: int, point: Point, k: int) -> tuple[int, int]:
+    m, d = _pair(point.x)
+    for _ in range(k):
+        m, d = x_after_doubling(a, m, d)
+    return m, d
+
+
+@pytest.mark.parametrize(
+    "a, m, d, side",
+    [
+        # x(2^6 P) for P = (1, 2) on a = 3: |x(2^7 P)| < 1, so den is read
+        (3, *_two_power_multiple_x(3, affine(1, 2), 6), "den"),
+        # x = m/d with m^2 - 3 d^2 = 1, a 115-digit Pell solution: alpha = 1
+        (3, *_pell_3(200), "den"),
+        (3, *_two_power_multiple_x(3, affine(1, 2), 5), "num"),
+        (-17, *_pair(Curve(-17).multiply(7, affine(-1, 4)).x), "num"),
+        (-10**40 - 3, -(10**250) - 7, 3**400, "num"),
+    ],
+)
+def test_height_after_doubling_reads_one_side(a, m, d, side):
+    gap, margin = _log_gap(a, m, d)
+    assert (gap > margin) if side == "num" else (gap < -margin)
+    num, den = x_after_doubling(a, m, d)
+    assert (abs(num) > den) == (side == "num")
+    assert naive_height_after_doubling(a, m, d).hex() == _plain_height_after_doubling(a, m, d).hex()
+
+
+def _convergents(x: Fraction):
+    """The continued-fraction convergents of x."""
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        q = x.numerator // x.denominator
+        h0, h1, k0, k1 = h1, q * h1 + h0, k1, q * k1 + k0
+        yield Fraction(h1, k1)
+        if x == q:
+            return
+        x = 1 / (x - q)
+
+
+@pytest.mark.parametrize(
+    "a, lo, hi", [(3, 5, 6), (3, 0, 1), (3, -6, -5), (7, 1, 2), (10**6 + 3, 1045, 1046)]
+)
+def test_height_after_doubling_near_a_tie(a, lo, hi):
+    # a convergent m/d with an 80-digit-plus d of the real root in [lo, hi]
+    # of (x^2 - a)^2 = 4|x(x^2 + a)|, where num and |den| agree to about 160
+    # digits, so their float logs cannot tell them apart and both are built
+    sign = 1 if lo >= 0 else -1
+
+    def f(x: Fraction) -> Fraction:
+        return (x * x - a) ** 2 - 4 * sign * x * (x * x + a)
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    assert (f(lo) > 0) != (f(hi) > 0)
+    for _ in range(700):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (f(mid) > 0) == (f(lo) > 0) else (lo, mid)
+    x = next(c for c in _convergents(lo) if c.denominator > 10**80)
+    m, d = _pair(x)
+    gap, margin = _log_gap(a, m, d)
+    assert abs(gap) <= margin, (gap, margin)
+    assert naive_height_after_doubling(a, m, d).hex() == _plain_height_after_doubling(a, m, d).hex()
+
+
+@pytest.mark.parametrize("a, m, d", [(3, 0, 1), (-4, 2, 1), (-4, -2, 1), (-9 * 10**6, 3000, 1)])
+def test_height_after_doubling_at_infinity(a, m, d):
+    # m = 0 or m^2 + a d^2 = 0: x(2P) is infinite, for both functions
+    with pytest.raises(ZeroDivisionError):
+        x_after_doubling(a, m, d)
+    with pytest.raises(ZeroDivisionError):
+        naive_height_after_doubling(a, m, d)
+
+
+def _ord_by_division(n: int, p: int) -> int:
+    e, n = 0, abs(n)
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+@PROPERTY
+@given(st.integers(1, 10**5000), st.integers(0, 300), st.booleans())
+def test_ord_int_at_two_matches_division(u, k, negative):
+    n = (-u if negative else u) << k
+    assert ord_int(n, 2) == _ord_by_division(n, 2) == k + _ord_by_division(u, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ord_int_of_zero_raises(p):
+    with pytest.raises(ZeroInput):
+        ord_int(0, p)
+    with pytest.raises(ValueError, match="must be at least 2"):
+        ord_int(0, p - 2)
+
+
 def _log_abs(x: Fraction) -> float:
     """log|x| as the Fraction route takes it: from its numerator and denominator."""
     num = abs(x.numerator)
     return math.log(num) if x.denominator == 1 else math.log(num) - math.log(x.denominator)
+
+
+def _step_pos(w: float) -> float:
+    """One a > 0 step of the reference, which computes z(w) afresh."""
+    v = 1.0 - w
+    return 4.0 * w * v * (w * w + v * v) / _z_pos(w)
 
 
 def fraction_lambda_inf(a: int, x: Fraction) -> float:
