@@ -5,13 +5,7 @@ Heights follow the normalisation in which the canonical height is one-half
 of PARI's ellheight.
 """
 
-from .arithmetic import (
-    fourth_power_free_part,
-    is_rational_square,
-    legendre_symbol,
-    ord_p,
-    squarefree_decompose,
-)
+from .arithmetic import fourth_power_free_part, legendre_symbol
 from .bounds import (
     BoundCheck,
     DiffBounds,
@@ -87,8 +81,7 @@ __all__ = [
     "classify_reduction", "corollary_bound", "denominator_sequence",
     "diff_bounds", "family_diff", "family_lang_neg",
     "family_lang_pos", "find_points", "fourth_power_free_part", "halve_point",
-    "is_rational_square", "lambda_archimedean", "lambda_nonarch",
+    "lambda_archimedean", "lambda_nonarch",
     "lang_lower_bound", "legendre_symbol", "limit_oracle", "naive_height",
-    "nonarch_sum_identity", "ord_p", "pell_c", "pell_d", "squarefree_decompose",
-    "sweep", "z_value",
+    "nonarch_sum_identity", "pell_c", "pell_d", "sweep", "z_value",
 ]

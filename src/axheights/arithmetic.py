@@ -155,33 +155,12 @@ def ord_int(n: int, p: int) -> int:
     return e
 
 
-def ord_p(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational (negative for denominators)."""
-    _require_prime(p)
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroInput("valuation of 0 is undefined")
-    return ord_int(x.numerator, p) - ord_int(x.denominator, p)
-
-
 def isqrt_exact(n: int) -> int | None:
     """The integer square root of ``n`` if ``n`` is a perfect square."""
     if n < 0:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write ``n = u * v**2`` with ``u`` squarefree and ``sign(u) = sign(n)``."""
-    if n == 0:
-        raise ZeroInput("0 has no squarefree decomposition")
-    u, v = 1 if n > 0 else -1, 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            u *= p
-        v *= p ** (e // 2)
-    return u, v
 
 
 @lru_cache(maxsize=65536)
@@ -200,20 +179,6 @@ def fourth_power_free_part(a: int) -> tuple[int, int]:
 def is_fourth_power_free(a: int) -> bool:
     """True when no prime fourth power divides ``a``."""
     return fourth_power_free_part(a)[1] == 1
-
-
-def is_rational_square(x: Fraction | int) -> Fraction | None:
-    """The nonnegative square root of ``x`` when ``x`` is a rational square."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    rn = isqrt_exact(x.numerator)
-    if rn is None:
-        return None
-    rd = isqrt_exact(x.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
 
 
 def legendre_symbol(n: int, p: int) -> int:

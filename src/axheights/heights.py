@@ -8,9 +8,11 @@ selects.  canonical_height and the sum identity check their point once and
 then call those functions directly.  The limit oracle recomputes
 it independently from the definition (1/2) lim h(2^n P) / 4^n in exact
 arithmetic, doubling x as an integer pair in lowest terms; its last
-doubling builds only the larger of the numerator and denominator, the one
-h(2^n P) reads.  It is the main cross-check for the decomposition path; the
-oracle command, the tests and the benchmark run it, the sweep does not.
+doubling reads h(2^n P) = log max(|num|, den) from integer brackets of the
+two, built from the top bits of x(2^(n-1) P), and builds them only where
+the brackets do not decide.  It is the main cross-check for the
+decomposition path; the oracle command, the tests and the benchmark run
+it, the sweep does not.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ def _height_on_minimal(
 def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
     """(1/2) h(2^n P) / 4^n in exact arithmetic: the definition itself,
     doubling x(P) = m/d as a pair of integers in lowest terms.  The last
-    doubling builds only the larger of num and den, the one h reads.
+    doubling goes through naive_height_after_doubling, which returns h of
+    the reduced pair bit for bit, from brackets where they decide.
 
     Independent of the local decomposition; agreement between the two is
     the core correctness check.

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arithmetic import _require_prime, factorize, legendre_symbol, log_ratio, ord_int
-from .curve import Curve, Point, x_after_doubling
+from .curve import Curve, Point, _doubling_logs
 from .errors import NotOnCurve, ZeroX
 
 DEFAULT_TERMS = 40
@@ -252,8 +252,9 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
 
     Sums the terms k = 0..DEFAULT_TERMS; the remainder is below
     tail_bound(DEFAULT_TERMS).  Exact rationals enter only through log of
-    (x^2 - a) and of x, taken with big-integer logs, so huge coordinates
-    never overflow.
+    (x^2 - a) and of x, taken with big-integer logs (for huge x of a < 0
+    read from brackets of their top bits), so huge coordinates never
+    overflow.
     """
     curve._require_nontorsion(point)
     return _lambda_inf(curve.a, point.x.numerator, point.x.denominator)
@@ -261,16 +262,23 @@ def lambda_archimedean(curve: Curve, point: Point) -> ArchHeightValue:
 
 def _lambda_inf(a: int, m: int, d: int) -> ArchHeightValue:
     """lambda_archimedean from a and x(P) = m/d (lowest terms, d > 0) alone,
-    for a point the caller checked."""
+    for a point the caller checked.
+
+    For a < 0 the first term and the seed t read log|m^2 - a d^2|, log d^2
+    and log|num| - log den of x(2P) = num/den from curve._doubling_logs:
+    past its crossover from brackets of the top bits of m and d, without
+    building those integers, and bit for bit as from the built ones.
+    """
     series = 0.0
     if a < 0:
         # k = 0 term via x^4 z = (x^2 - a)^2; then iterate from 2P, which
         # lies on the identity component so every t_k is in (0, 1), or 0.0
         # once it underflows, a fixed point whose terms are exactly 0.0.
         # log z = 2 log(1 + t^2), so the k-th term is 4^-k log1p(t^2)/4.
-        # x^2 - a = (m^2 - a d^2)/d^2 in lowest terms
-        first = 0.25 * log_ratio(m * m - a * d * d, d * d)
-        t = math.exp(0.5 * math.log(-a) - log_ratio(*x_after_doubling(a, m, d)))
+        # x^2 - a = (m^2 - a d^2)/d^2 and x(2P) = num/den
+        log_alpha, log_d2, log_num, log_den = _doubling_logs(a, m, d)
+        first = 0.25 * (log_alpha - log_d2)
+        t = math.exp(0.5 * math.log(-a) - (log_num - log_den))
         weight = 0.25
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25

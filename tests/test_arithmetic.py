@@ -9,14 +9,11 @@ from axheights.arithmetic import (
     fourth_power_free_part,
     is_fourth_power_free,
     is_prime,
-    is_rational_square,
     legendre_symbol,
     log_ratio,
     ord_int,
-    ord_p,
     parse_rational,
     small_primes,
-    squarefree_decompose,
     squarefree_divisors,
 )
 from axheights.curve import Curve
@@ -27,6 +24,8 @@ from axheights.errors import (
     ZeroInput,
 )
 from axheights.local_heights import bad_primes
+
+from reference_arithmetic import is_rational_square, ord_p, squarefree_decompose
 
 
 @pytest.mark.parametrize(

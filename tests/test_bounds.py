@@ -10,7 +10,6 @@ from axheights.arithmetic import (
     is_fourth_power_free,
     isqrt_exact,
     ord_int,
-    ord_p,
     squarefree_divisors,
 )
 from axheights.bounds import (
@@ -27,6 +26,8 @@ from axheights.bounds import (
 from axheights.curve import Curve, Point, affine, x_after_doubling
 from axheights.errors import AxHeightsError, NotMinimal, ZeroInput
 from axheights.heights import denominator_sequence, limit_oracle
+
+from reference_arithmetic import ord_p
 
 LOG2 = math.log(2.0)
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from axheights.arithmetic import is_fourth_power_free, is_rational_square, squarefree_decompose
+from axheights.arithmetic import is_fourth_power_free
 from axheights.bounds import find_points
 from axheights.curve import INFINITY, Curve, Point, affine, x_after_doubling
 from axheights.errors import NotOnCurve, ZeroInput
+
+from reference_arithmetic import is_rational_square, squarefree_decompose
 
 
 def test_on_curve_examples():

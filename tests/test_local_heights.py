@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from axheights import local_heights
-from axheights.arithmetic import is_fourth_power_free, ord_int, ord_p
-from axheights.curve import Curve, Point, affine
+from axheights import curve, local_heights
+from axheights.arithmetic import is_fourth_power_free, ord_int
+from axheights.curve import _BRACKET_BITS, Curve, Point, affine
 from axheights.errors import NotMinimal, NotOnCurve, NotPrime, TorsionPoint, ZeroX
 from axheights.families import FAMILIES
+from axheights.heights import canonical_height
 from axheights.local_heights import (
     _ODD,
     _TWO_ADIC,
@@ -23,6 +24,8 @@ from axheights.local_heights import (
     tail_bound,
     z_value,
 )
+
+from reference_arithmetic import ord_p
 
 LOG2 = math.log(2.0)
 
@@ -386,6 +389,25 @@ def test_lambda_inf_w_escape_stays_at_its_step(monkeypatch):
     with pytest.raises(ValueError):
         _lambda_inf(a, m, d)
     assert len(seen) == steps + 1 and seen[-1] == w
+
+
+#: multiples kP of P = (-1, 4) on a = -17 on both sides of the bracket
+#: crossover (x(21P) is the first past it), up to 300P (45,817 digits); 256P
+#: is 2^8 P
+_MULTIPLES_K = (*range(1, 41), 50, 64, 89, 100, 128, 150, 200, 256, 300)
+
+
+def test_canonical_height_matches_the_exact_route(monkeypatch):
+    # lambda_inf reads its four logs from brackets past the crossover; with
+    # the crossover out of reach it builds the integers, as below it
+    c, base = Curve(-17), affine(-1, 4)
+    points = [c.multiply(k, base) for k in _MULTIPLES_K]
+    sizes = [max(q.x.numerator.bit_length(), q.x.denominator.bit_length()) for q in points]
+    assert min(sizes) < _BRACKET_BITS <= sizes[_MULTIPLES_K.index(21)]
+    got = [canonical_height(c, q).canonical.hex() for q in points]
+    monkeypatch.setattr(curve, "_BRACKET_BITS", math.inf)
+    expected = [canonical_height(c, q).canonical.hex() for q in points]
+    assert got == expected
 
 
 def test_arch_range_off_identity_component():

@@ -18,12 +18,12 @@ from axheights.arithmetic import (
     factorize,
     is_fourth_power_free,
     ord_int,
-    squarefree_decompose,
     squarefree_divisors,
 )
 from axheights.bounds import find_points
 from axheights.curve import Curve, Point
 
+from reference_arithmetic import squarefree_decompose
 from test_bounds import _find_points_brute_force
 
 

@@ -9,12 +9,13 @@ others, so the order of its checks is pinned as well.
 
 import pytest
 
-from axheights.arithmetic import ord_p
 from axheights.cli import build_parser
 from axheights.curve import Curve, affine
 from axheights.errors import NotMinimal, NotPrime, TorsionPoint
 from axheights.heights import denominator_sequence, limit_oracle, nonarch_sum_identity
 from axheights.local_heights import classify_reduction, lambda_archimedean, lambda_nonarch
+
+from reference_arithmetic import ord_p
 
 MINIMAL, NON_MINIMAL = Curve(3), Curve(48)  # 48 = 3 * 2^4
 P, TORSION = affine(1, 2), affine(0, 0)

@@ -3,25 +3,31 @@ the search finds on the small curves: quadraticity, the parallelogram law
 and invariance under change of model.  Each identity is judged against the
 error bounds of the heights it combines, weighted by their coefficients.
 The x-only duplication map is checked against the group law on the same
-points and against the plain rational formula, the naive height of its
-image, built from the larger side only, against the full pair, ord_int at
-2 against the division loop, the archimedean local height on the integer
-pair against the Fraction route, and the membership test against the plain
-Fraction equation."""
+points and against the plain rational formula; the naive height of its
+image and the logs of the doubling's integers, read from top-bit brackets,
+against the built integers, with a count of the calls that build them;
+ord_int at 2 against the division loop, the archimedean local height on
+the integer pair against the Fraction route, and the membership test
+against the plain Fraction equation."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from axheights import curve
 from axheights.arithmetic import is_fourth_power_free, ord_int
 from axheights.bounds import find_points
 from axheights.curve import (
-    _LOG_SLACK,
+    _BRACKET_BITS,
     Curve,
     Point,
+    _doubling_brackets,
+    _doubling_logs,
+    _exceeds,
     affine,
     naive_height_after_doubling,
     x_after_doubling,
@@ -123,12 +129,23 @@ def _plain_height_after_doubling(a: int, m: int, d: int) -> float:
     return math.log(max(abs(num), den))
 
 
-def _log_gap(a: int, m: int, d: int) -> tuple[float, float]:
-    """(log num - log|den| before reduction, the helper's margin), from the
-    same float logs the helper compares."""
-    alpha, beta = m * m - a * d * d, m * m + a * d * d
-    log_den = math.log(4.0) + math.log(abs(m)) + math.log(d) + math.log(abs(beta))
-    return 2.0 * math.log(abs(alpha)) - log_den, _LOG_SLACK * (1.0 + log_den)
+def _exact_logs(a: int, m: int, d: int) -> list[float]:
+    """math.log of |m^2 - a d^2|, d^2, |num| and den, the integers built."""
+    num, den = x_after_doubling(a, m, d)
+    return [math.log(n) for n in (abs(m * m - a * d * d), d * d, abs(num), den)]
+
+
+class _Counted:
+    """x_after_doubling, counting its calls: the doubling's integers are
+    built only there, on the exact route and as the brackets' fallback."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        monkeypatch.setattr(curve, "x_after_doubling", self)
+
+    def __call__(self, a, m, d):
+        self.calls += 1
+        return x_after_doubling(a, m, d)
 
 
 @PROPERTY
@@ -168,12 +185,18 @@ def _two_power_multiple_x(a: int, point: Point, k: int) -> tuple[int, int]:
         (-10**40 - 3, -(10**250) - 7, 3**400, "num"),
     ],
 )
-def test_height_after_doubling_reads_one_side(a, m, d, side):
-    gap, margin = _log_gap(a, m, d)
-    assert (gap > margin) if side == "num" else (gap < -margin)
+def test_height_after_doubling_reads_one_side(a, m, d, side, monkeypatch):
+    # the brackets, taken at every size here, pick the side h reads and
+    # decide its log, so the pair is never built
     num, den = x_after_doubling(a, m, d)
     assert (abs(num) > den) == (side == "num")
-    assert naive_height_after_doubling(a, m, d).hex() == _plain_height_after_doubling(a, m, d).hex()
+    expected = _plain_height_after_doubling(a, m, d)
+    monkeypatch.setattr(curve, "_BRACKET_BITS", 0)
+    num_b, den_b = _doubling_brackets(a, m, d)[2:]
+    assert _exceeds(num_b, den_b) if side == "num" else _exceeds(den_b, num_b)
+    built = _Counted(monkeypatch)
+    assert naive_height_after_doubling(a, m, d).hex() == expected.hex()
+    assert built.calls == 0
 
 
 def _convergents(x: Fraction):
@@ -191,10 +214,11 @@ def _convergents(x: Fraction):
 @pytest.mark.parametrize(
     "a, lo, hi", [(3, 5, 6), (3, 0, 1), (3, -6, -5), (7, 1, 2), (10**6 + 3, 1045, 1046)]
 )
-def test_height_after_doubling_near_a_tie(a, lo, hi):
+def test_height_after_doubling_near_a_tie(a, lo, hi, monkeypatch):
     # a convergent m/d with an 80-digit-plus d of the real root in [lo, hi]
     # of (x^2 - a)^2 = 4|x(x^2 + a)|, where num and |den| agree to about 160
-    # digits, so their float logs cannot tell them apart and both are built
+    # digits, so their brackets, taken at every size here, overlap and the
+    # pair is built once
     sign = 1 if lo >= 0 else -1
 
     def f(x: Fraction) -> Fraction:
@@ -207,14 +231,26 @@ def test_height_after_doubling_near_a_tie(a, lo, hi):
         lo, hi = (mid, hi) if (f(mid) > 0) == (f(lo) > 0) else (lo, mid)
     x = next(c for c in _convergents(lo) if c.denominator > 10**80)
     m, d = _pair(x)
-    gap, margin = _log_gap(a, m, d)
-    assert abs(gap) <= margin, (gap, margin)
-    assert naive_height_after_doubling(a, m, d).hex() == _plain_height_after_doubling(a, m, d).hex()
+    expected = _plain_height_after_doubling(a, m, d)
+    monkeypatch.setattr(curve, "_BRACKET_BITS", 0)
+    num_b, den_b = _doubling_brackets(a, m, d)[2:]
+    assert not _exceeds(num_b, den_b) and not _exceeds(den_b, num_b)
+    built = _Counted(monkeypatch)
+    assert naive_height_after_doubling(a, m, d).hex() == expected.hex()
+    assert built.calls == 1
 
 
-@pytest.mark.parametrize("a, m, d", [(3, 0, 1), (-4, 2, 1), (-4, -2, 1), (-9 * 10**6, 3000, 1)])
+@pytest.mark.parametrize(
+    "a, m, d",
+    [
+        (3, 0, 1), (-4, 2, 1), (-4, -2, 1), (-9 * 10**6, 3000, 1),
+        (-(10**250 + 7) ** 2, 10**250 + 7, 1),
+    ],
+)
 def test_height_after_doubling_at_infinity(a, m, d):
-    # m = 0 or m^2 + a d^2 = 0: x(2P) is infinite, for both functions
+    # m = 0 or m^2 + a d^2 = 0: x(2P) is infinite, for both functions; the
+    # last case is past the bracket crossover, where the bracket of
+    # m^2 + a d^2 holds 0 and sends it to the exact route
     with pytest.raises(ZeroDivisionError):
         x_after_doubling(a, m, d)
     with pytest.raises(ZeroDivisionError):
@@ -327,6 +363,96 @@ def _multiples(a: int, point: Point):
 
 
 MULTIPLES = [(a, multiple) for a, point in POINTS for multiple in _multiples(a, point)]
+
+
+#: sizes on both sides of the bracket crossover, up to 4,000 bits
+SIZES = st.one_of(
+    st.integers(1, 2 ** (_BRACKET_BITS - 1)),
+    st.integers(2 ** (_BRACKET_BITS - 1), 2 ** (_BRACKET_BITS + 100)),
+    st.integers(1, 2**4000),
+)
+
+
+@PROPERTY
+@given(NONZERO_A, SIZES, st.one_of(st.just(1), SIZES), st.booleans())
+def test_doubling_logs_match_the_built_integers(a, m, d, negative):
+    g = math.gcd(m, d)
+    m, d = (-m if negative else m) // g, d // g
+    assume(m * m + a * d * d != 0 and m * m - a * d * d != 0)
+    logs = _doubling_logs(a, m, d)
+    assert [v.hex() for v in logs] == [v.hex() for v in _exact_logs(a, m, d)], (a, m, d)
+    got = naive_height_after_doubling(a, m, d)
+    assert got.hex() == _plain_height_after_doubling(a, m, d).hex(), (a, m, d)
+    if a < 0 or m >= 0:  # no real point has x < 0 on a > 0
+        value = _lambda_inf(a, m, d).value
+        assert value.hex() == fraction_lambda_inf(a, Fraction(m, d)).hex(), (a, m, d)
+
+
+def test_doubling_logs_at_a_rounding_midpoint(monkeypatch):
+    # d^2 lies within 2d of (2^53 + 1) 2^1600, halfway between two doubles,
+    # and so well inside its bracket, whose ends round apart: that log is
+    # left open and the integers are built, once per call
+    d = math.isqrt((2**53 + 1) << 1600)
+    a, m = -17, d + 1
+    lo, hi, _ = _doubling_brackets(a, m, d)[1]
+    assert float(lo) != float(hi)
+    expected = _exact_logs(a, m, d)
+    reference = fraction_lambda_inf(a, Fraction(m, d))
+    built = _Counted(monkeypatch)
+    assert [v.hex() for v in _doubling_logs(a, m, d)] == [v.hex() for v in expected]
+    assert built.calls == 1
+    assert _lambda_inf(a, m, d).value.hex() == reference.hex()
+    assert built.calls == 2
+
+
+def _bits(m: int, d: int) -> int:
+    return max(m.bit_length(), d.bit_length())
+
+
+def test_small_inputs_never_enter_the_brackets(monkeypatch):
+    small = [(a, *_pair(p.x)) for a, p in MULTIPLES if _bits(*_pair(p.x)) < _BRACKET_BITS]
+    assert len(small) > 100
+    expected = [(_plain_height_after_doubling(a, m, d), _exact_logs(a, m, d)) for a, m, d in small]
+    cut = []
+    monkeypatch.setattr(curve, "_cut", lambda *bracket: cut.append(bracket))
+    built = _Counted(monkeypatch)
+    for (a, m, d), (height, logs) in zip(small, expected):
+        assert naive_height_after_doubling(a, m, d).hex() == height.hex()
+        assert [v.hex() for v in _doubling_logs(a, m, d)] == [v.hex() for v in logs]
+    assert not cut and built.calls == 2 * len(small)
+
+
+def _large_inputs():
+    """(a, m, d) above the crossover: multiples from the bank, x(2^k P) for
+    P = (-1, 4) on a = -17 and P = (1, 2) on a = 3, pairs whose gcd g is
+    about 2^300 (a = -q^3 or q^3 and q^2 | m, so q^5 | g), and random pairs
+    with both signs of a and m, d = 1 and d large."""
+    out = [(a, *_pair(p.x)) for a, p in MULTIPLES if _bits(*_pair(p.x)) >= _BRACKET_BITS]
+    for a, point in ((-17, affine(-1, 4)), (3, affine(1, 2))):
+        out += [(a, *_two_power_multiple_x(a, point, k)) for k in range(5, 9)]
+    q = 2**61 - 1
+    out += [(sign * q**3, q * q * (3**500 + 2), 5**400) for sign in (-1, 1)]
+    rng = random.Random(2027)
+    for _ in range(200):
+        a = rng.choice([-1, 1]) * rng.choice([rng.randint(1, 60), rng.getrandbits(200) + 1])
+        m = rng.choice([-1, 1]) * (rng.getrandbits(rng.randint(_BRACKET_BITS, 4000)) | 1)
+        d = rng.choice([1, rng.getrandbits(rng.randint(1, 4000)) | 1])
+        g = math.gcd(m, d)
+        out.append((a, m // g, d // g))
+    return out
+
+
+def test_large_inputs_never_build_the_integers(monkeypatch):
+    large = [(a, m, d) for a, m, d in _large_inputs() if _bits(m, d) >= _BRACKET_BITS]
+    assert len(large) > 200
+    expected = [(_plain_height_after_doubling(a, m, d), _exact_logs(a, m, d)) for a, m, d in large]
+    built = _Counted(monkeypatch)
+    for (a, m, d), (height, logs) in zip(large, expected):
+        assert naive_height_after_doubling(a, m, d).hex() == height.hex(), (a, m, d)
+        assert [v.hex() for v in _doubling_logs(a, m, d)] == [v.hex() for v in logs], (a, m, d)
+        if a < 0:
+            _lambda_inf(a, m, d)
+    assert built.calls == 0
 
 
 @st.composite
