@@ -5,6 +5,11 @@ nontorsion point (keyed on the sign of a and on a mod 16), the weaker
 discriminant form, and the two-sided bounds on (1/2)h(P) - hhat(P); plus
 the descent-shaped point search and the sweep harness that certifies every
 point it finds.
+
+The public checks (check_b2_bounds, certify_point) check their point; the
+private cores (_check_b2 and the heights cores it and the sweep call) trust
+their caller.  So certify_point runs Curve.contains once, and the sweep
+once per point find_points returns.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .curve import Curve, Point
 from .errors import AxHeightsError, NotMinimal, ZeroInput
 from .heights import (
     HeightBreakdown,
+    _denominator_sequence,
     _height_on_minimal,
-    denominator_sequence,
-    nonarch_sum_identity,
+    _sum_identity,
 )
 
 logger = logging.getLogger(__name__)
@@ -164,7 +169,15 @@ def check_b2_bounds(curve: Curve, point: Point) -> BoundCheck:
     find_points, an even b1 makes e odd and ord_2(b2) = 1, hence M odd.
     x = 0 is torsion and raises before ord_2(x) is read.
     """
-    b1, b2 = denominator_sequence(curve, point, 2)
+    curve._require_minimal()
+    curve._require_nontorsion(point)
+    return _check_b2(curve, point)
+
+
+def _check_b2(curve: Curve, point: Point) -> BoundCheck:
+    """check_b2_bounds of a nontorsion point on a minimal model, both
+    checked by the caller."""
+    b1, b2 = _denominator_sequence(curve, point, 2)
     group = residue_group(curve.a)
     *_, class_bound = _CLASSES[group]
     stated = group != "g4" or ord_int(point.x.numerator, 2) != 1  # ord_2(x) = 1 iff 2 || num
@@ -205,7 +218,7 @@ def _certify(curve: Curve, point: Point) -> tuple[list[BoundCheck], HeightBreakd
                  note=lang.class_tag),
         _verdict("Corollary", cor, bd.canonical, bd.canonical - cor, err),
         *checks,
-        check_b2_bounds(minimal, q),
+        _check_b2(minimal, q),
     ]
     return checks, bd
 
@@ -490,8 +503,12 @@ class SweepReport:
 
 def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], int]:
     """Certify every point found on one fourth-power-free curve: the rows
-    of its nontorsion points, and how many torsion points it found."""
+    of its nontorsion points, and how many torsion points it found.
+
+    Each point is checked once, by _certify; the sum identity runs on the
+    x(P) that check accepted."""
     curve = Curve(a)
+    curve._require_minimal()
     rows: list[SweepRow] = []
     torsion = 0
     for point in find_points(curve, search_bound):
@@ -500,7 +517,7 @@ def sweep_curve(a: int, search_bound: int) -> tuple[list[SweepRow], int]:
             torsion += 1
             continue
         # the identity answers (False, {}) exactly when x(2P) is not a square
-        identity_ok, residues = nonarch_sum_identity(curve, point)
+        identity_ok, residues = _sum_identity(curve, point.x.numerator, point.x.denominator)
         checks += [_exact("SumIdentity", identity_ok), _exact("X2PSquare", bool(residues))]
         rows.append(
             SweepRow(

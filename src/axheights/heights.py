@@ -4,8 +4,11 @@ denominator analysis of x(nP).
 The canonical height is assembled from local heights, each a function of
 a and x(P) alone: the truncated Tate series at the archimedean place plus
 exact rational multiples of log(p) at the finite places that height_primes
-selects.  canonical_height and the sum identity check their point once and
-then call those functions directly.  The limit oracle recomputes
+selects.  Each public entry point checks its point once, through
+Curve.contains, and then calls a private core that trusts it:
+canonical_height the local heights, denominator_sequence and
+nonarch_sum_identity their _denominator_sequence and _sum_identity, which
+bounds calls on points it has already checked.  The limit oracle recomputes
 it independently from the definition (1/2) lim h(2^n P) / 4^n in exact
 arithmetic, doubling x as an integer pair in lowest terms; its last
 doubling reads h(2^n P) = log max(|num|, den) from integer brackets of the
@@ -175,6 +178,12 @@ def denominator_sequence(curve: Curve, point: Point, upto: int) -> list[Denomina
     """A_n/B_n = x(nP) in lowest terms for n = 1..upto."""
     curve._require_minimal()
     curve._require_nontorsion(point)
+    return _denominator_sequence(curve, point, upto)
+
+
+def _denominator_sequence(curve: Curve, point: Point, upto: int) -> list[DenominatorRecord]:
+    """denominator_sequence of a nontorsion point on a minimal model, both
+    checked by the caller."""
     records = []
     current = point
     for n in range(1, upto + 1):
@@ -202,7 +211,13 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
     """
     curve._require_minimal()
     curve._require_nontorsion(point)
-    num, den = x_after_doubling(curve.a, point.x.numerator, point.x.denominator)
+    return _sum_identity(curve, point.x.numerator, point.x.denominator)
+
+
+def _sum_identity(curve: Curve, m: int, d: int) -> tuple[bool, dict[int, Fraction]]:
+    """nonarch_sum_identity of a nontorsion point with x = m/d in lowest
+    terms on a minimal model, both checked by the caller."""
+    num, den = x_after_doubling(curve.a, m, d)
     # num and den are coprime: x(2P) is a rational square iff both are squares
     delta = isqrt_exact(den)
     if delta is None or isqrt_exact(num) is None:

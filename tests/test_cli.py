@@ -464,7 +464,7 @@ def test_sweep_output_bytes_frozen(tmp_path, capsys, workers, suffix):
 
 
 def test_sweep_failing_identity_exits_5(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(bounds, "nonarch_sum_identity", lambda curve, point: (False, {2: Fraction(1)}))
+    monkeypatch.setattr(bounds, "_sum_identity", lambda curve, m, d: (False, {2: Fraction(1)}))
     out_path = tmp_path / "r.json"
     code, _, err = run(
         capsys, "sweep", "--amin", "-2", "--amax", "3", "--search-bound", "10",

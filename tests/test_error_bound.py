@@ -16,8 +16,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from axheights.arithmetic import log_ratio
-from axheights.curve import Curve, Point, affine
+from axheights.arithmetic import isqrt_exact, log_ratio
+from axheights.curve import _BRACKET_BITS, Curve, Point, affine, x_after_doubling
 from axheights.errors import AxHeightsError
 from axheights.families import FAMILIES, family_diff
 from axheights.heights import _height_on_minimal, height_primes
@@ -127,6 +127,27 @@ def test_error_bound_holds_on_multiples(a, xy):
     curve = Curve(a)
     point = affine(*xy)
     assert _misses([(curve, curve.multiply(k, point)) for k in range(2, 11)]) == []
+
+
+@pytest.mark.parametrize("a, x", [(-17, -1), (3, 1), (-2, -1)])
+def test_error_bound_holds_on_huge_doublings(a, x):
+    # 2^k P for k = 4..8 of P = (-1, 4), (1, 2), (-1, 1): x from 56 to
+    # 33,362 digits, on both sides of _BRACKET_BITS, where _lambda_inf for
+    # a < 0 stops building its logs' integers.  x comes from the x-only map
+    # and y from isqrt; str(x) would pass the default int/str digit limit,
+    # so a miss is reported by k
+    m, d = x, 1
+    bits, ratios = {}, {}
+    for k in range(1, 9):
+        m, d = x_after_doubling(a, m, d)
+        if k < 4:
+            continue
+        y = Fraction(isqrt_exact(m * (m * m + a * d * d)), isqrt_exact(d) ** 3)
+        bd, value = reference_height(Curve(a), Point(Fraction(m, d), y))
+        bits[k] = max(m.bit_length(), d.bit_length())
+        ratios[k] = float(abs(mpf(bd.canonical) - value) / bd.error_bound)
+    assert bits[4] < _BRACKET_BITS <= bits[8]
+    assert {k: r for k, r in ratios.items() if r > 1} == {}
 
 
 @pytest.mark.parametrize("a1, underflows", [(10**131, False), (10**330, True)],

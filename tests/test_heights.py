@@ -280,10 +280,22 @@ def test_each_point_is_checked_once(contains_calls):
     assert len(contains_calls) == 1
     contains_calls.clear()
     bounds.certify_point(curve, point)
-    assert len(contains_calls) == 2  # the height, then the B2 check
+    assert len(contains_calls) == 1  # B2 runs on the point the height checked
     contains_calls.clear()
     nonarch_sum_identity(curve, point)
     assert len(contains_calls) == 1
+    contains_calls.clear()
+    bounds.check_b2_bounds(curve, point)
+    assert len(contains_calls) == 1
+    contains_calls.clear()
+    denominator_sequence(curve, point, 2)
+    assert len(contains_calls) == 1
+    # the sweep checks each point find_points returns once, in _certify:
+    # a = -25 has 2 torsion and 4 nontorsion points in the box
+    contains_calls.clear()
+    rows, torsion = bounds.sweep_curve(-25, 30)
+    assert (len(rows), torsion) == (4, 2)
+    assert len(contains_calls) == 6
 
 
 @pytest.fixture

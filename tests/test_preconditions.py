@@ -9,6 +9,7 @@ others, so the order of its checks is pinned as well.
 
 import pytest
 
+from axheights.bounds import check_b2_bounds
 from axheights.cli import build_parser
 from axheights.curve import Curve, affine
 from axheights.errors import NotMinimal, NotPrime, TorsionPoint
@@ -41,6 +42,9 @@ CASES = [
     (denominator_sequence, (MINIMAL, TORSION, 2), TorsionPoint),
     (denominator_sequence, (NON_MINIMAL, P_48, 2), NotMinimal),
     (denominator_sequence, (NON_MINIMAL, TORSION, 2), NotMinimal),
+    (check_b2_bounds, (MINIMAL, TORSION), TorsionPoint),
+    (check_b2_bounds, (NON_MINIMAL, P_48), NotMinimal),
+    (check_b2_bounds, (NON_MINIMAL, TORSION), NotMinimal),
     (nonarch_sum_identity, (MINIMAL, TORSION), TorsionPoint),
     (nonarch_sum_identity, (NON_MINIMAL, P_48), NotMinimal),
     (nonarch_sum_identity, (NON_MINIMAL, TORSION), NotMinimal),
