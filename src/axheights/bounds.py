@@ -586,7 +586,7 @@ def sweep(
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_curve_task, tasks, chunksize=_CHUNK))
-        except OSError as exc:  # pragma: no cover
+        except OSError as exc:
             logger.warning("process pool unavailable (%s); running serially", exc)
     if results is None:
         results = [_sweep_curve_task(t) for t in tasks]

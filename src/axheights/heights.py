@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import factorize, isqrt_exact, ord_int
-from .curve import Curve, Point, naive_height_after_doubling, x_after_doubling
+from .curve import (
+    Curve,
+    Point,
+    _doubling_gcd,
+    naive_height_after_doubling,
+    x_after_doubling,
+)
 from .errors import DepthExceeded, InfinityPoint
 from .local_heights import (
     ArchHeightValue,
@@ -208,6 +214,13 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
     success).  At a prime p not dividing 2a both sides are ord_p(delta):
     lambda_p(2P) is (1/2) max(0, -ord_p x(2P)) = ord_p(delta) there, with
     ord_p(disc) = 0 and no correction, so delta is never factored.
+
+    No square root of num or den is taken.  With g the gcd that
+    x_after_doubling divides out of x(2P) = num/den, num g = (m^2 - a d^2)^2
+    for x(P) = m/d, and on the curve, with x = m/s^2 and y = n/s^3, den g =
+    4 m d (m^2 + a d^2) = (2 s n)^2.  So x(2P) is a square exactly when g
+    is, (False, {}) means that g is not a square, and 12 ord_p(delta) =
+    6 ord_p(den).
     """
     curve._require_minimal()
     curve._require_nontorsion(point)
@@ -216,19 +229,23 @@ def nonarch_sum_identity(curve: Curve, point: Point) -> tuple[bool, dict[int, Fr
 
 def _sum_identity(curve: Curve, m: int, d: int) -> tuple[bool, dict[int, Fraction]]:
     """nonarch_sum_identity of a nontorsion point with x = m/d in lowest
-    terms on a minimal model, both checked by the caller."""
-    num, den = x_after_doubling(curve.a, m, d)
-    # num and den are coprime: x(2P) is a rational square iff both are squares
-    delta = isqrt_exact(den)
-    if delta is None or isqrt_exact(num) is None:
+    terms on a minimal model, both checked by the caller.
+
+    num g = (m^2 - a d^2)^2 and, on the curve, den g = (2 s n)^2, where g
+    divides 16 a^4 (see nonarch_sum_identity): (False, {}) means that g is
+    not a square, and the only root taken is that of g.
+    """
+    a = curve.a
+    num, den = x_after_doubling(a, m, d)
+    if isqrt_exact(_doubling_gcd(a, m, d)) is None:
         return False, {}
     # x(2P) != 0: only a point of order 4 doubles to (0, 0)
-    indicator = curve.a % 16 == 4 and ord_int(num, 2) > 0
+    indicator = a % 16 == 4 and ord_int(num, 2) > 0
     residues: dict[int, Fraction] = {}
     disc = curve.discriminant
     for p in bad_primes(curve):
-        lhs = _lambda_p(curve.a, num, den, p).coefficient
-        twelfths = 12 * ord_int(delta, p) + ord_int(disc, p)
+        lhs = _lambda_p(a, num, den, p).coefficient
+        twelfths = 6 * ord_int(den, p) + ord_int(disc, p)
         if p == 2 and indicator:
             twelfths -= 6
         residues[p] = lhs - Fraction(twelfths, 12)

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from axheights import arithmetic
 from axheights.arithmetic import (
+    TRIAL_BOUND,
     factorize,
     fourth_power_free_part,
     is_fourth_power_free,
@@ -195,6 +197,20 @@ def test_factorize_budget_gives_up():
     assert is_prime(p) and is_prime(q)
     with pytest.raises(FactorizationBudgetExceeded):
         factorize(p * q, budget=2000)
+
+
+def test_factorize_backtracks_when_one_batch_meets_both_factors():
+    # both primes lie above TRIAL_BOUND, and the first batch of Brent's rho
+    # meets them at once (gcd = n), so the factor is found by stepping back
+    # from the batch's saved start one term at a time
+    arithmetic._factorize_cached.cache_clear()
+    assert 100003 > TRIAL_BOUND and is_prime(100003) and is_prime(100057)
+    assert factorize(10006000171) == {100003: 1, 100057: 1}
+
+
+def test_factorize_rejects_zero():
+    with pytest.raises(ZeroInput, match="cannot factor 0"):
+        factorize(0)
 
 
 def test_divisors():

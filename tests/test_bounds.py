@@ -1,4 +1,5 @@
 import copy
+import logging
 import math
 import pickle
 from fractions import Fraction
@@ -489,3 +490,22 @@ def test_sweep_oracle_envelope(acceptance_sweep):
         gap = abs(row.canonical - limit_oracle(Curve(row.a), point, 6))
         envelope = (0.25 * math.log(abs(row.a)) + 0.6) / 4.0**6
         assert gap < envelope, (row.a, row.x, gap)
+
+
+def test_sweep_runs_serially_when_no_pool_starts(monkeypatch, caplog):
+    # a sandbox without working semaphores fails the pool's constructor with
+    # ENOSYS; the sweep logs one warning and runs every curve in-process
+    serial = sweep(-40, 40, 30, workers=1)
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise OSError(38, "Function not implemented")
+
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", NoPool)
+    with caplog.at_level(logging.WARNING, logger=bounds.logger.name):
+        report = sweep(-40, 40, 30, workers=2)
+    assert report.rows == serial.rows
+    assert report.torsion_points == serial.torsion_points
+    assert report.failures == []
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1 and "process pool unavailable" in warnings[0]

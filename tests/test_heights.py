@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from axheights import arithmetic, bounds
-from axheights.curve import INFINITY, Curve, affine
-from axheights.errors import DepthExceeded, InfinityPoint, NotOnCurve, TorsionPoint
+from axheights import arithmetic, bounds, heights
+from axheights.arithmetic import isqrt_exact, ord_int
+from axheights.curve import INFINITY, Curve, _doubling_gcd, affine, x_after_doubling
+from axheights.errors import (
+    AxHeightsError,
+    DepthExceeded,
+    InfinityPoint,
+    NotOnCurve,
+    TorsionPoint,
+)
 from axheights.families import FAMILIES
 from axheights.heights import (
     _ITEMIZE_LIMIT,
@@ -18,7 +25,7 @@ from axheights.heights import (
     naive_height,
     nonarch_sum_identity,
 )
-from axheights.local_heights import bad_primes, lambda_archimedean, lambda_nonarch
+from axheights.local_heights import _lambda_p, bad_primes, lambda_archimedean, lambda_nonarch
 
 
 @pytest.mark.parametrize(
@@ -220,6 +227,83 @@ def test_sum_identity_needs_no_factoring():
     curve = Curve(-17)
     point = curve.multiply(10, affine(-1, 4))
     assert nonarch_sum_identity(curve, point) == (True, {2: 0, 17: 0})
+
+
+def _sum_identity_by_roots(curve, point):
+    """nonarch_sum_identity as it read before the gcd rule: x(2P) is a
+    square when both isqrt_exact(num) and isqrt_exact(den) exist, and delta
+    is the root of den."""
+    a = curve.a
+    num, den = x_after_doubling(a, point.x.numerator, point.x.denominator)
+    delta = isqrt_exact(den)
+    if delta is None or isqrt_exact(num) is None:
+        return False, {}
+    indicator = a % 16 == 4 and ord_int(num, 2) > 0
+    residues = {}
+    for p in bad_primes(curve):
+        twelfths = 12 * ord_int(delta, p) + ord_int(curve.discriminant, p)
+        if p == 2 and indicator:
+            twelfths -= 6
+        residues[p] = _lambda_p(a, num, den, p).coefficient - Fraction(twelfths, 12)
+    return all(r == 0 for r in residues.values()), residues
+
+
+def _same_as_the_root_route(curve, point):
+    expected = _sum_identity_by_roots(curve, point)
+    return nonarch_sum_identity(curve, point) == expected and expected[0]
+
+
+def test_sum_identity_matches_the_root_route_on_the_acceptance_points(acceptance_sweep):
+    points = [(Curve(r.a), affine(Fraction(r.x), Fraction(r.y))) for r in acceptance_sweep.rows]
+    assert len(points) > 1000
+    assert all(_same_as_the_root_route(curve, point) for curve, point in points)
+
+
+def test_sum_identity_matches_the_root_route_on_multiples():
+    # kP for k = 1..120, up to 7,331 digits of x; the two routes also agree
+    # up to k = 300, where the reference's roots take about 17 s in all
+    curve, p = Curve(-17), affine(-1, 4)
+    point = p
+    for _ in range(120):
+        assert _same_as_the_root_route(curve, point)
+        point = curve.add(point, p)
+
+
+def test_sum_identity_matches_the_root_route_on_family_points():
+    # each family's candidate at parameters 0..3 with |a| < 10^40, on its
+    # minimal model
+    checked = 0
+    for build in FAMILIES.values():
+        for param in range(4):
+            try:
+                cand = build(param)
+            except AxHeightsError:  # a failed row, no rational half, param 0
+                continue
+            if abs(cand.a) < 10**40:
+                minimal, point, _ = _to_minimal(Curve(cand.a), cand.point)
+                assert _same_as_the_root_route(minimal, point)
+                checked += 1
+    assert checked > 60
+
+
+def test_sum_identity_takes_one_small_root(monkeypatch):
+    # 300P has 45,817 digits of x; the one root is of the map's gcd, a
+    # divisor of 16 a^4, and the verdict and residues are the root route's
+    curve = Curve(-17)
+    point = curve.multiply(300, affine(-1, 4))
+    roots = []
+    monkeypatch.setattr(heights, "isqrt_exact", lambda n: roots.append(n) or isqrt_exact(n))
+    assert nonarch_sum_identity(curve, point) == (True, {2: 0, 17: 0})
+    assert len(roots) == 1 and (16 * curve.a**4) % roots[0] == 0
+    monkeypatch.undo()
+    assert _sum_identity_by_roots(curve, point) == (True, {2: 0, 17: 0})
+
+
+def test_sum_identity_off_the_curve_with_a_non_square_gcd():
+    # x = -9 is not on a = -11 (x^3 + a x = -630); the map divides out g = 8,
+    # so x(2P) = -(92^2/8)/(2520/8) is no square
+    assert _doubling_gcd(-11, -9, 1) == 8
+    assert heights._sum_identity(Curve(-11), -9, 1) == (False, {})
 
 
 def test_huge_point_uses_bulk_denominator():

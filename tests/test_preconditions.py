@@ -4,17 +4,24 @@ model, a nontorsion point and a prime p.
 Each rule has one check and one message (`Curve._require_minimal`,
 `Curve._require_nontorsion`, `arithmetic._require_prime`).  Every entry
 point is tried on each bad input it takes, alone and together with the
-others, so the order of its checks is pinned as well.
+others, so the order of its checks is pinned as well.  The argument
+guards of the family builders and of z_value are pinned at the end.
 """
 
 import pytest
 
 from axheights.bounds import check_b2_bounds
 from axheights.cli import build_parser
-from axheights.curve import Curve, affine
-from axheights.errors import NotMinimal, NotPrime, TorsionPoint
+from axheights.curve import INFINITY, Curve, affine
+from axheights.errors import NotMinimal, NotPrime, TorsionPoint, ZeroInput, ZeroX
+from axheights.families import family_diff, family_lang_neg, family_lang_pos, pell_c
 from axheights.heights import denominator_sequence, limit_oracle, nonarch_sum_identity
-from axheights.local_heights import classify_reduction, lambda_archimedean, lambda_nonarch
+from axheights.local_heights import (
+    classify_reduction,
+    lambda_archimedean,
+    lambda_nonarch,
+    z_value,
+)
 
 from reference_arithmetic import ord_p
 
@@ -93,3 +100,22 @@ def test_precondition_messages(entry, args, expected):
     with pytest.raises(expected) as info:
         entry(*args)
     assert str(info.value) == MESSAGES[expected]
+
+
+#: (entry point, its arguments, the exception it raises) for argument
+#: guards that no other test reaches
+GUARDS = [
+    (pell_c, (-1,), ZeroInput),  # a negative index
+    (family_lang_pos, (0, 1), ZeroInput),  # no residue class 0
+    (family_lang_neg, (0, 0), ZeroInput),
+    (family_lang_neg, (3, -1), ZeroInput),  # a negative index
+    (family_diff, ("sideways", 1), ZeroInput),  # no such family
+    (z_value, (Curve(-2), INFINITY), ZeroX),
+]
+
+
+@pytest.mark.parametrize("entry, args, expected", GUARDS, ids=map(_case_id, GUARDS))
+def test_argument_guards(entry, args, expected):
+    with pytest.raises(expected) as info:
+        entry(*args)
+    assert type(info.value) is expected
