@@ -1,6 +1,7 @@
 """The curve family y^2 = x^3 + a*x: exact point arithmetic and torsion,
 the x-only duplication map on reduced integer pairs, and the logs of that
-map's integers, read from brackets of their top bits."""
+map's integers, after one doubling or a chain of them, read from brackets
+of their top bits."""
 
 from __future__ import annotations
 
@@ -223,6 +224,11 @@ def x_after_doubling(a: int, m: int, d: int) -> tuple[int, int]:
 # are built from the top _TOP_BITS bits of m, d and a and rounded outward,
 # so they are about 2^-120 wide relative to n; the ends round apart only
 # when n lies that close to a rounding boundary, and then n is built.
+#
+# A chain of doublings runs on brackets too: besides them, a doubling needs
+# only the sign of m and the residues of m and d mod 16 a^4, for the gcd,
+# and the residues survive the division by the gcd when they are carried
+# mod (16 a^4)^r for r doublings left (_residue_doubling).
 # ---------------------------------------------------------------------------
 
 _Bracket = tuple[int, int, int]
@@ -260,16 +266,17 @@ def _exceeds(x: _Bracket, y: _Bracket) -> bool:
     return _at(x, e)[0] > _at(y, e)[1]
 
 
-def _size_of_sum(x: _Bracket, y: _Bracket, sign: int) -> _Bracket:
-    """A bracket of |x + sign y|; its lower end is 0 when the sum may be 0."""
+def _size_of_sum(x: _Bracket, y: _Bracket, sign: int) -> tuple[_Bracket, int]:
+    """A bracket of |x + sign y| and the sign of x + sign y; where the sum
+    may be 0, the sign is 0 and the bracket's lower end is 0."""
     e = max(x[2], y[2])
     (xl, xh), (yl, yh) = _at(x, e), _at(y, e)
     lo, hi = (xl + yl, xh + yh) if sign > 0 else (xl - yh, xh - yl)
     if lo > 0:
-        return _cut(lo, hi, e)
+        return _cut(lo, hi, e), 1
     if hi < 0:
-        return _cut(-hi, -lo, e)
-    return _cut(0, max(-lo, hi), e)
+        return _cut(-hi, -lo, e), -1
+    return _cut(0, max(-lo, hi), e), 0
 
 
 def _over(x: _Bracket, g: int) -> _Bracket:
@@ -279,32 +286,50 @@ def _over(x: _Bracket, g: int) -> _Bracket:
     return _cut((x[0] << t) // g, -(-(x[1] << t) // g), x[2] - t)
 
 
+def _exact(n: int) -> _Bracket:
+    return _cut(abs(n), abs(n), 0)
+
+
+def _doubling_step(a: int, m: _Bracket, d: _Bracket, g: int) -> tuple[tuple[_Bracket, ...], int]:
+    """Brackets of |alpha|, d^2, |num| and den, and the sign of beta, from
+    brackets m of |m| and d of d, where alpha = m^2 - a d^2, beta = m^2 +
+    a d^2 and x(2P) = num/den = 4 m d beta / g in lowest terms, g =
+    _doubling_gcd(a, m, d).  The sign is 0 where beta, and so den, may be 0;
+    where alpha may be 0, the brackets of |alpha| and |num| start at 0."""
+    m2, d2 = _times(m, m), _times(d, d)
+    ad2 = _times(_exact(a), d2)
+    sign = 1 if a > 0 else -1
+    (alpha, _), (beta, beta_sign) = _size_of_sum(m2, ad2, -sign), _size_of_sum(m2, ad2, sign)
+    lo, hi, e = _times(_times(m, d), beta)
+    return (alpha, d2, _over(_times(alpha, alpha), g), _over((lo, hi, e + 2), g)), beta_sign
+
+
 def _doubling_brackets(a: int, m: int, d: int) -> tuple[_Bracket, ...] | None:
-    """Brackets of |alpha|, d^2, |num| and den, where alpha = m^2 - a d^2
-    and x(2P) = num/den in lowest terms, for x(P) = m/d in lowest terms with
-    d > 0 and a nonzero; None when max(|m|, d) has fewer than _BRACKET_BITS
-    bits, or when beta = m^2 + a d^2, and so den, may be 0.  Where alpha
-    may be 0, the brackets of |alpha| and |num| start at 0: den can still
-    be told larger than num, but neither log is read from them."""
+    """_doubling_step's brackets of |alpha|, d^2, |num| and den for x(P) =
+    m/d in lowest terms with d > 0 and a nonzero; None when max(|m|, d) has
+    fewer than _BRACKET_BITS bits, or when beta, and so den, may be 0.
+    Where alpha may be 0, den can still be told larger than num, but
+    neither log is read from their brackets."""
     if max(m.bit_length(), d.bit_length()) < _BRACKET_BITS:
         return None
-    mb, db = _cut(abs(m), abs(m), 0), _cut(d, d, 0)
-    m2, d2 = _times(mb, mb), _times(db, db)
-    ad2 = _times(_cut(abs(a), abs(a), 0), d2)
-    sign = 1 if a > 0 else -1
-    alpha, beta = _size_of_sum(m2, ad2, -sign), _size_of_sum(m2, ad2, sign)
-    if beta[0] == 0:
-        return None
-    g = _doubling_gcd(a, m, d)
-    lo, hi, e = _times(_times(mb, db), beta)
-    return alpha, d2, _over(_times(alpha, alpha), g), _over((lo, hi, e + 2), g)
+    brackets, beta_sign = _doubling_step(a, _exact(m), _exact(d), _doubling_gcd(a, m, d))
+    return brackets if beta_sign else None
 
 
 def _bracket_log(x: _Bracket) -> float | None:
     """math.log of every integer in the bracket x, bit for bit, when both
-    ends are positive and round to one double; None when they do not."""
-    lo, hi, e = x
-    return math.log(lo << e) if lo > 0 and float(lo) == float(hi) else None
+    ends are positive and round to one double; None when they do not.
+
+    math.log of an int n takes the log of float(n) below 2^1024 and
+    log(f) + log(2.0) * e above, with f and e from math.frexp of n's
+    correctly rounded significand; float(lo << s) is float(lo) scaled by
+    2^s, so both come from lo and s without building lo << s."""
+    lo, hi, s = x
+    if lo <= 0 or float(lo) != float(hi):
+        return None
+    f, e = math.frexp(float(lo))
+    e += s
+    return math.log(math.ldexp(f, e)) if e <= 1024 else math.log(f) + math.log(2.0) * e
 
 
 def _doubling_logs(a: int, m: int, d: int) -> tuple[float, ...]:
@@ -324,22 +349,78 @@ def _doubling_logs(a: int, m: int, d: int) -> tuple[float, ...]:
     return tuple(logs)
 
 
-def naive_height_after_doubling(a: int, m: int, d: int) -> float:
-    """log max(|num|, den) for (num, den) = x_after_doubling(a, m, d), bit
-    for bit.
+def naive_height_after_doubling(a: int, m: int, d: int, doublings: int = 1) -> float:
+    """log max(|num|, den) for x(2^n P) = num/den in lowest terms, n =
+    doublings, reached from x(P) = m/d by x_after_doubling, bit for bit.
 
-    x has about four times as many digits after a doubling, so the two
-    full-size products are most of a doubling's cost.  Above _BRACKET_BITS
-    the brackets of |num| and den decide which one is larger, and the
-    larger one's bracket its log; only when the brackets overlap or the log
-    is left open, and below _BRACKET_BITS, is the pair built.
+    x has about four times as many digits after a doubling, so building
+    the pairs is most of the cost.  They are built while max(|m|, d) is
+    below _BRACKET_BITS, or below r - 1 times the bits of 16 a^4 with r
+    doublings left: the size of the residues that the later doublings
+    read.  Past both, the doublings run on brackets and residues
+    (_residue_doubling).  Where a bracket does not decide, the rest of the
+    chain is built from the last pair.
     """
-    brackets = _doubling_brackets(a, m, d)
-    if brackets is not None:
-        num, den = brackets[2:]
-        top = num if _exceeds(num, den) else den if _exceeds(den, num) else None
-        log = None if top is None else _bracket_log(top)
-        if log is not None:
-            return log
-    num, den = x_after_doubling(a, m, d)
-    return math.log(max(abs(num), den))
+    k_bits = (16 * a**4).bit_length()
+    while doublings and max(m.bit_length(), d.bit_length()) < max(
+        _BRACKET_BITS, (doublings - 1) * k_bits
+    ):
+        m, d = x_after_doubling(a, m, d)
+        doublings -= 1
+    log = _height_from_brackets(a, m, d, doublings) if doublings else None
+    if log is None:
+        for _ in range(doublings):
+            m, d = x_after_doubling(a, m, d)
+        log = math.log(max(abs(m), d))
+    return log
+
+
+#: what a doubling on brackets carries of x = m/d: the sign of m, the
+#: residues of m and d mod (16 a^4)^r for r doublings left, that modulus,
+#: and brackets of |m| and d
+_ResidueState = tuple[int, int, int, int, _Bracket, _Bracket]
+
+
+def _residue_state(a: int, m: int, d: int, doublings: int) -> _ResidueState:
+    modulus = (16 * a**4) ** doublings
+    return 1 if m > 0 else -1, m % modulus, d % modulus, modulus, _exact(m), _exact(d)
+
+
+def _residue_doubling(
+    a: int, sign: int, m: int, d: int, modulus: int, mb: _Bracket, db: _Bracket
+) -> _ResidueState | None:
+    """The state of x(2P) from that of x(P) = m/d, or None where mb or the
+    bracket of beta = m^2 + a d^2 may hold 0.
+
+    g = _doubling_gcd needs only m and d mod 16 a^4.  g divides 16 a^4, so
+    with M = modulus and M' = M / 16 a^4, g M' divides M, and |num| =
+    alpha^2 / g and den = |4 m d beta| / g are (alpha^2 mod g M') / g and
+    (|4 m d beta| mod g M') / g mod M', read from m and d mod M.  As in
+    x_after_doubling, the sign of num is that of m times that of beta.
+    """
+    g = _doubling_gcd(a, m, d)
+    (_, _, num, den), beta_sign = _doubling_step(a, mb, db, g)
+    if mb[0] == 0 or beta_sign == 0:
+        return None
+    sign *= beta_sign
+    modulus //= 16 * a**4
+    gm = g * modulus
+    m, d = m % gm, d % gm
+    m2, ad2 = m * m, a * d * d
+    alpha = (m2 - ad2) % gm
+    num_res = sign * (alpha * alpha % gm // g) % modulus
+    return sign, num_res, sign * 4 * m * d * (m2 + ad2) % gm // g, modulus, num, den
+
+
+def _height_from_brackets(a: int, m: int, d: int, doublings: int) -> float | None:
+    """naive_height_after_doubling from brackets and residues, or None
+    where a doubling does not decide, or where at the end the brackets of
+    |num| and den overlap or the larger one's log is open."""
+    state = _residue_state(a, m, d, doublings)
+    for _ in range(doublings):
+        state = _residue_doubling(a, *state)
+        if state is None:
+            return None
+    num, den = state[4:]
+    top = num if _exceeds(num, den) else den if _exceeds(den, num) else None
+    return None if top is None else _bracket_log(top)

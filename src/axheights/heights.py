@@ -9,13 +9,14 @@ Curve.contains, and then calls a private core that trusts it:
 canonical_height the local heights, denominator_sequence and
 nonarch_sum_identity their _denominator_sequence and _sum_identity, which
 bounds calls on points it has already checked.  The limit oracle recomputes
-it independently from the definition (1/2) lim h(2^n P) / 4^n in exact
-arithmetic, doubling x as an integer pair in lowest terms; its last
-doubling reads h(2^n P) = log max(|num|, den) from integer brackets of the
-two, built from the top bits of x(2^(n-1) P), and builds them only where
-the brackets do not decide.  It is the main cross-check for the
-decomposition path; the oracle command, the tests and the benchmark run
-it, the sweep does not.
+it independently from the definition (1/2) lim h(2^n P) / 4^n, bit for
+bit as in exact arithmetic: it doubles x as an integer pair in lowest
+terms while the pair is small, and past that on integer brackets of the
+top bits of the pair and on its residues mod powers of 16 a^4, reading
+h(2^n P) = log max(|num|, den) from the last brackets; where a bracket
+does not decide, it builds the rest of the chain.  It is the main
+cross-check for the decomposition path; the oracle command, the tests and
+the benchmark run it, the sweep does not.
 """
 
 from __future__ import annotations
@@ -163,10 +164,12 @@ def _height_on_minimal(
 
 
 def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
-    """(1/2) h(2^n P) / 4^n in exact arithmetic: the definition itself,
-    doubling x(P) = m/d as a pair of integers in lowest terms.  The last
-    doubling goes through naive_height_after_doubling, which returns h of
-    the reduced pair bit for bit, from brackets where they decide.
+    """(1/2) h(2^n P) / 4^n: the definition itself, with h(2^n P) from
+    curve.naive_height_after_doubling, bit for bit as from the reduced
+    pair of x(2^n P).  That doubles x(P) = m/d as a pair of integers in
+    lowest terms while it is small, and past that on brackets of its top
+    bits and its residues mod powers of 16 a^4; it builds the pairs where a
+    bracket does not decide.  It reads no local height, series or table.
 
     Independent of the local decomposition; agreement between the two is
     the core correctness check.
@@ -175,9 +178,7 @@ def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
         raise DepthExceeded(f"doublings must be in 1..{MAX_DOUBLINGS}")
     curve._require_nontorsion(point)
     m, d = point.x.numerator, point.x.denominator
-    for _ in range(doublings - 1):
-        m, d = x_after_doubling(curve.a, m, d)
-    return naive_height_after_doubling(curve.a, m, d) / (2.0 * 4.0**doublings)
+    return naive_height_after_doubling(curve.a, m, d, doublings) / (2.0 * 4.0**doublings)
 
 
 def denominator_sequence(curve: Curve, point: Point, upto: int) -> list[DenominatorRecord]:

@@ -1,10 +1,11 @@
 import math
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from axheights import arithmetic, bounds, heights
+from axheights import arithmetic, bounds, curve, heights
 from axheights.arithmetic import isqrt_exact, ord_int
 from axheights.curve import INFINITY, Curve, _doubling_gcd, affine, x_after_doubling
 from axheights.errors import (
@@ -185,6 +186,113 @@ def test_limit_oracle_errors():
         limit_oracle(Curve(3), affine(1, 2), 0)
 
 
+def _exact_chain(a: int, m: int, d: int, depth: int) -> list[float]:
+    """limit_oracle at depths 1..depth from the built pairs: an
+    x_after_doubling loop, then log max(|num|, den)."""
+    values = []
+    for k in range(1, depth + 1):
+        m, d = x_after_doubling(a, m, d)
+        values.append(math.log(max(abs(m), d)) / (2.0 * 4.0**k))
+    return values
+
+
+def _hexes(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+@cache
+def _small_points() -> list:
+    """The nontorsion points of find_points(Curve(a), 20), 0 < |a| <= 60."""
+    return [
+        (c, p)
+        for a in range(-60, 61)
+        if a != 0
+        for c in [Curve(a)]
+        for p in bounds.find_points(c, 20)
+        if not c.is_torsion(p)
+    ]
+
+
+@cache
+def _multiple(a: int, pt: tuple[int, int], k: int):
+    return Curve(a).multiply(k, affine(*pt))
+
+
+#: base points whose multiples kP reach 5,700 to 13,400 bits at k = 89
+_BASES = ((-17, (-1, 4)), (3, (1, 2)), (-2, (-1, 1)))
+
+
+def test_limit_oracle_matches_the_exact_chain_on_small_points():
+    # the doublings build the pairs below 700 bits and run on brackets and
+    # residues past them
+    points = _small_points()
+    assert len(points) > 250
+    for c, p in points:
+        expected = _exact_chain(c.a, p.x.numerator, p.x.denominator, 8)
+        got = [limit_oracle(c, p, k) for k in range(1, 9)]
+        assert _hexes(got) == _hexes(expected), (c.a, p)
+
+
+@pytest.mark.parametrize("a, pt", _BASES)
+@pytest.mark.parametrize("k", [17, 40, 89])
+def test_limit_oracle_matches_the_exact_chain_on_multiples(a, pt, k):
+    # 17P lies below the bracket crossover, 40P and 89P above it
+    point = _multiple(a, pt, k)
+    expected = _exact_chain(a, point.x.numerator, point.x.denominator, 4)
+    got = [limit_oracle(Curve(a), point, depth) for depth in range(1, 5)]
+    assert _hexes(got) == _hexes(expected)
+
+
+def test_limit_oracle_falls_back_to_the_exact_chain(monkeypatch):
+    # with _BRACKET_BITS = 1 the doublings run on brackets as soon as the
+    # pair outgrows the residue modulus, and with ends of 60 bits a bracket
+    # often rounds apart; where one does not decide, the rest of the chain
+    # is built from the last pair, and the values stay the exact chain's
+    cases = [(c, p, 6) for c, p in _small_points() if abs(c.a) <= 20]
+    cases += [(Curve(a), _multiple(a, pt, k), 3) for a, pt in _BASES for k in (17, 40)]
+    expected = [_exact_chain(c.a, p.x.numerator, p.x.denominator, n) for c, p, n in cases]
+    events = []
+    from_brackets = curve._height_from_brackets
+
+    def traced(*args):
+        log = from_brackets(*args)
+        events.append("open" if log is None else "decided")
+        return log
+
+    def built(a, m, d):
+        events.append("built")
+        return x_after_doubling(a, m, d)
+
+    monkeypatch.setattr(curve, "_BRACKET_BITS", 1)
+    monkeypatch.setattr(curve, "_TOP_BITS", 60)
+    monkeypatch.setattr(curve, "_height_from_brackets", traced)
+    monkeypatch.setattr(curve, "x_after_doubling", built)
+    for (c, p, depth), values in zip(cases, expected):
+        got = [limit_oracle(c, p, k) for k in range(1, depth + 1)]
+        assert _hexes(got) == _hexes(values), (c.a, p)
+    assert "decided" in events
+    assert ("open", "built") in zip(events, events[1:])
+
+
+@pytest.mark.parametrize("a, pt, k", [(-17, (-1, 4), 89), (-17, (-1, 4), 300), (3, (1, 2), 89)])
+def test_limit_oracle_at_depth_10_on_huge_points(a, pt, k, monkeypatch):
+    # 89P and 300P of (-1, 4) have 13,394 and 152,199 bits, 89P of (1, 2)
+    # 5,728: every doubling runs on brackets and residues, none builds a
+    # pair past the crossover, and the value lies in the theorem envelope
+    c, point = Curve(a), _multiple(a, pt, k)
+    height = canonical_height(c, point).canonical
+    sizes = []
+
+    def built(a, m, d):
+        sizes.append(max(m.bit_length(), d.bit_length()))
+        return x_after_doubling(a, m, d)
+
+    monkeypatch.setattr(curve, "x_after_doubling", built)
+    value = limit_oracle(c, point, 10)
+    assert all(size < curve._BRACKET_BITS for size in sizes)
+    assert abs(value - height) < (0.25 * math.log(abs(a)) + 0.6) / 4.0**10
+
+
 def test_denominator_sequence_examples():
     records = denominator_sequence(Curve(3), affine(1, 2), 2)
     assert [(r.n, r.A, r.B, r.ord2_B) for r in records] == [(1, 1, 1, 0), (2, 1, 4, 2)]
@@ -290,7 +398,7 @@ def test_sum_identity_takes_one_small_root(monkeypatch):
     # 300P has 45,817 digits of x; the one root is of the map's gcd, a
     # divisor of 16 a^4, and the verdict and residues are the root route's
     curve = Curve(-17)
-    point = curve.multiply(300, affine(-1, 4))
+    point = _multiple(-17, (-1, 4), 300)
     roots = []
     monkeypatch.setattr(heights, "isqrt_exact", lambda n: roots.append(n) or isqrt_exact(n))
     assert nonarch_sum_identity(curve, point) == (True, {2: 0, 17: 0})

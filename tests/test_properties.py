@@ -5,7 +5,9 @@ error bounds of the heights it combines, weighted by their coefficients.
 The x-only duplication map is checked against the group law on the same
 points and against the plain rational formula; the naive height of its
 image and the logs of the doubling's integers, read from top-bit brackets,
-against the built integers, with a count of the calls that build them;
+against the built integers, with a count of the calls that build them; one
+doubling on brackets and residues against the built pair, and the log of a
+bracket against math.log of the built integer around and above 2^1024;
 ord_int at 2 against the division loop, the archimedean local height on
 the integer pair against the Fraction route, and the membership test
 against the plain Fraction equation."""
@@ -23,11 +25,15 @@ from axheights.arithmetic import is_fourth_power_free, ord_int
 from axheights.bounds import find_points
 from axheights.curve import (
     _BRACKET_BITS,
+    _TOP_BITS,
     Curve,
     Point,
+    _bracket_log,
     _doubling_brackets,
     _doubling_logs,
     _exceeds,
+    _residue_doubling,
+    _residue_state,
     affine,
     naive_height_after_doubling,
     x_after_doubling,
@@ -453,6 +459,54 @@ def test_large_inputs_never_build_the_integers(monkeypatch):
         if a < 0:
             _lambda_inf(a, m, d)
     assert built.calls == 0
+
+
+def _holds(bracket, n: int) -> bool:
+    lo, hi, e = bracket
+    return lo << e <= n <= hi << e
+
+
+#: numerators and denominators of 700 to 3,000 bits
+HUGE = st.integers(2**699, 2**3000)
+
+
+@PROPERTY
+@given(NONZERO_A, HUGE, HUGE, st.booleans(), st.integers(1, 4))
+def test_residue_doubling_matches_the_built_pair(a, m, d, negative, doublings):
+    # one doubling on brackets and on residues mod (16 a^4)^r: the built
+    # |num| and den lie in its brackets, its residues mod (16 a^4)^(r - 1)
+    # are theirs, and its sign is that of num
+    assume(math.gcd(m, d) == 1)
+    m = -m if negative else m
+    beta = m * m + a * d * d
+    num, den = x_after_doubling(a, m, d)
+    state = _residue_doubling(a, *_residue_state(a, m, d, doublings))
+    if state is None:  # beta's bracket holds 0: a cancellation of ~120 bits
+        assert abs(beta) <= (m * m + abs(a) * d * d) >> (_TOP_BITS - 8), (a, m, d)
+        return
+    sign, num_res, den_res, modulus, num_b, den_b = state
+    assert modulus == (16 * a**4) ** (doublings - 1)
+    assert sign == (1 if num > 0 else -1)
+    assert (num_res, den_res) == (num % modulus, den % modulus)
+    assert _holds(num_b, abs(num)) and _holds(den_b, den)
+
+
+#: ends of 1 to 128 bits, with the carries 2^k - 1 and 2^k - 2^(k - 54)
+#: (which rounds half to even, up) drawn often
+BRACKET_ENDS = st.one_of(
+    st.integers(1, 2**128 - 1),
+    st.integers(54, 128).map(lambda k: 2**k - 1),
+    st.integers(55, 128).map(lambda k: 2**k - 2 ** (k - 54)),
+)
+
+
+@PROPERTY
+@given(BRACKET_ENDS, st.one_of(st.integers(0, 3000), st.integers(-8, 8)))
+def test_bracket_log_matches_the_built_integer(lo, shift):
+    # around 2^1024, where math.log of an int turns from the log of its
+    # double to log(mantissa) + log(2) * exponent, and far above it
+    e = max(0, 1024 - lo.bit_length() + shift) if abs(shift) <= 8 else shift
+    assert _bracket_log((lo, lo, e)).hex() == math.log(lo << e).hex(), (lo, e)
 
 
 @st.composite
