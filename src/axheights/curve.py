@@ -320,10 +320,12 @@ def _bracket_log(x: _Bracket) -> float | None:
     """math.log of every integer in the bracket x, bit for bit, when both
     ends are positive and round to one double; None when they do not.
 
-    math.log of an int n takes the log of float(n) below 2^1024 and
+    CPython's math.log of an int n (3.10 to 3.13, checked by
+    tests/test_properties.py) takes the log of float(n) below 2^1024 and
     log(f) + log(2.0) * e above, with f and e from math.frexp of n's
     correctly rounded significand; float(lo << s) is float(lo) scaled by
-    2^s, so both come from lo and s without building lo << s."""
+    2^s, so both come from lo and s without building lo << s.  The match
+    holds only on interpreters whose math.log does this."""
     lo, hi, s = x
     if lo <= 0 or float(lo) != float(hi):
         return None
@@ -355,16 +357,11 @@ def naive_height_after_doubling(a: int, m: int, d: int, doublings: int = 1) -> f
 
     x has about four times as many digits after a doubling, so building
     the pairs is most of the cost.  They are built while max(|m|, d) is
-    below _BRACKET_BITS, or below r - 1 times the bits of 16 a^4 with r
-    doublings left: the size of the residues that the later doublings
-    read.  Past both, the doublings run on brackets and residues
-    (_residue_doubling).  Where a bracket does not decide, the rest of the
-    chain is built from the last pair.
+    below _BRACKET_BITS; past it, the doublings run on brackets and
+    residues (_residue_doubling).  Where a bracket does not decide, the
+    rest of the chain is built from the last pair.
     """
-    k_bits = (16 * a**4).bit_length()
-    while doublings and max(m.bit_length(), d.bit_length()) < max(
-        _BRACKET_BITS, (doublings - 1) * k_bits
-    ):
+    while doublings and max(m.bit_length(), d.bit_length()) < _BRACKET_BITS:
         m, d = x_after_doubling(a, m, d)
         doublings -= 1
     log = _height_from_brackets(a, m, d, doublings) if doublings else None

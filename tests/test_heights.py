@@ -244,10 +244,10 @@ def test_limit_oracle_matches_the_exact_chain_on_multiples(a, pt, k):
 
 
 def test_limit_oracle_falls_back_to_the_exact_chain(monkeypatch):
-    # with _BRACKET_BITS = 1 the doublings run on brackets as soon as the
-    # pair outgrows the residue modulus, and with ends of 60 bits a bracket
-    # often rounds apart; where one does not decide, the rest of the chain
-    # is built from the last pair, and the values stay the exact chain's
+    # with _BRACKET_BITS = 1 the doublings run on brackets from the first
+    # step, and with ends of 60 bits a bracket often rounds apart; where
+    # one does not decide, the rest of the chain is built from the last
+    # pair, and the values stay the exact chain's
     cases = [(c, p, 6) for c, p in _small_points() if abs(c.a) <= 20]
     cases += [(Curve(a), _multiple(a, pt, k), 3) for a, pt in _BASES for k in (17, 40)]
     expected = [_exact_chain(c.a, p.x.numerator, p.x.denominator, n) for c, p, n in cases]
@@ -398,7 +398,7 @@ def test_sum_identity_takes_one_small_root(monkeypatch):
     # 300P has 45,817 digits of x; the one root is of the map's gcd, a
     # divisor of 16 a^4, and the verdict and residues are the root route's
     curve = Curve(-17)
-    point = _multiple(-17, (-1, 4), 300)
+    point = curve.multiply(300, affine(-1, 4))
     roots = []
     monkeypatch.setattr(heights, "isqrt_exact", lambda n: roots.append(n) or isqrt_exact(n))
     assert nonarch_sum_identity(curve, point) == (True, {2: 0, 17: 0})
