@@ -159,11 +159,25 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _height_document(
-    curve: Curve, point: Point, bd: HeightBreakdown, command: str, started: float
-) -> dict:
-    # timing goes to stderr so identical inputs give byte-identical JSON
-    doc = {
+def _timing(started: float) -> None:
+    # the computation's time goes to stderr, so identical inputs give
+    # byte-identical stdout
+    print(f"timing: {time.perf_counter() - started:.4f}s", file=sys.stderr)
+
+
+def _term_record(term) -> dict:
+    return {
+        "prime": term.prime,
+        "coefficient": f"{term.coefficient.numerator}/{term.coefficient.denominator}",
+        "correction_tag": term.correction_tag,
+        "value": _fmt(term.value),
+    }
+
+
+def _height_document(curve: Curve, point: Point, bd: HeightBreakdown, command: str) -> dict:
+    """The --json document; only it prints the coordinates, whose decimal
+    strings cost time quadratic in their digits."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "a": curve.a,
@@ -176,18 +190,8 @@ def _height_document(
         "is_torsion": bd.is_torsion,
         "archimedean": _fmt(bd.archimedean.value) if bd.archimedean else None,
         "archimedean_tail": _fmt(bd.archimedean.tail_bound) if bd.archimedean else None,
-        "local_terms": [
-            {
-                "prime": t.prime,
-                "coefficient": f"{t.coefficient.numerator}/{t.coefficient.denominator}",
-                "correction_tag": t.correction_tag,
-                "value": _fmt(t.value),
-            }
-            for t in bd.nonarch_terms
-        ],
+        "local_terms": [_term_record(t) for t in bd.nonarch_terms],
     }
-    print(f"timing: {time.perf_counter() - started:.4f}s", file=sys.stderr)
-    return doc
 
 
 def cmd_height(args) -> int:
@@ -195,24 +199,25 @@ def cmd_height(args) -> int:
     curve = Curve(args.a)
     point = Point(args.x, args.y)
     bd = canonical_height(curve, point)
-    doc = _height_document(curve, point, bd, "height", started)
+    _timing(started)
     if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        kind = " (torsion)" if doc["is_torsion"] else ""
-        print(f"naive height      h(P)    = {doc['naive']}")
-        print(f"canonical height  hhat(P) = {doc['canonical']}{kind}")
-        print(f"difference (1/2)h - hhat  = {doc['difference']}")
-        for term in doc["local_terms"]:
-            print(
-                f"  lambda_{term['prime']}: {term['coefficient']} * log({term['prime']})"
-                f" = {term['value']}  [{term['correction_tag']}]"
-            )
-        if bd.bulk_denominator_log:
-            print(f"  lambda_bulk: 1/2 * log(denominator part prime to 2a)"
-                  f" = {_fmt(bd.bulk_denominator_log)}")
-        if doc["archimedean"] is not None:
-            print(f"  lambda_inf: {doc['archimedean']} (tail < {doc['archimedean_tail']})")
+        print(json.dumps(_height_document(curve, point, bd, "height"), indent=2))
+        return EXIT_OK
+    kind = " (torsion)" if bd.is_torsion else ""
+    print(f"naive height      h(P)    = {_fmt(bd.naive)}")
+    print(f"canonical height  hhat(P) = {_fmt(bd.canonical)}{kind}")
+    print(f"difference (1/2)h - hhat  = {_fmt(bd.difference)}")
+    for term in map(_term_record, bd.nonarch_terms):
+        print(
+            f"  lambda_{term['prime']}: {term['coefficient']} * log({term['prime']})"
+            f" = {term['value']}  [{term['correction_tag']}]"
+        )
+    if bd.bulk_denominator_log:
+        print(f"  lambda_bulk: 1/2 * log(denominator part prime to 2a)"
+              f" = {_fmt(bd.bulk_denominator_log)}")
+    if bd.archimedean:
+        print(f"  lambda_inf: {_fmt(bd.archimedean.value)}"
+              f" (tail < {_fmt(bd.archimedean.tail_bound)})")
     return EXIT_OK
 
 
@@ -221,9 +226,10 @@ def cmd_verify(args) -> int:
     curve = Curve(args.a)
     point = Point(args.x, args.y)
     checks, bd = _certify(curve, point)
-    doc = _height_document(curve, point, bd, "verify", started)
-    doc["checks"] = [_check_dict(c) for c in checks]
+    _timing(started)
     if args.json:
+        doc = _height_document(curve, point, bd, "verify")
+        doc["checks"] = [_check_dict(c) for c in checks]
         print(json.dumps(doc, indent=2))
     else:
         for c in checks:

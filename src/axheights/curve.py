@@ -226,9 +226,9 @@ def x_after_doubling(a: int, m: int, d: int) -> tuple[int, int]:
 # when n lies that close to a rounding boundary, and then n is built.
 #
 # A chain of doublings runs on brackets too: besides them, a doubling needs
-# only the sign of m and the residues of m and d mod 16 a^4, for the gcd,
-# and the residues survive the division by the gcd when they are carried
-# mod (16 a^4)^r for r doublings left (_residue_doubling).
+# only the residues of m and d mod 16 a^4, for the gcd, and the residues
+# survive the division by the gcd when they are carried mod (16 a^4)^r for
+# r doublings left (_doubling_chain).
 # ---------------------------------------------------------------------------
 
 _Bracket = tuple[int, int, int]
@@ -304,16 +304,40 @@ def _doubling_step(a: int, m: _Bracket, d: _Bracket, g: int) -> tuple[tuple[_Bra
     return (alpha, d2, _over(_times(alpha, alpha), g), _over((lo, hi, e + 2), g)), beta_sign
 
 
-def _doubling_brackets(a: int, m: int, d: int) -> tuple[_Bracket, ...] | None:
-    """_doubling_step's brackets of |alpha|, d^2, |num| and den for x(P) =
-    m/d in lowest terms with d > 0 and a nonzero; None when max(|m|, d) has
-    fewer than _BRACKET_BITS bits, or when beta, and so den, may be 0.
-    Where alpha may be 0, den can still be told larger than num, but
-    neither log is read from their brackets."""
+def _doubling_chain(a: int, m: int, d: int, doublings: int) -> tuple[_Bracket, ...] | None:
+    """_doubling_step's brackets of |alpha|, d^2, |num| and den at the last
+    of n = doublings doublings from x(P) = m/d in lowest terms with d > 0
+    and a nonzero; None when max(|m|, d) has fewer than _BRACKET_BITS bits,
+    or where at some step the bracket of |m| or of beta = m^2 + a d^2 may
+    hold 0.  Where alpha may be 0, den can still be told larger than num,
+    but neither log is read from their brackets.
+
+    Besides the brackets, a step needs only g = _doubling_gcd, and so only
+    m and d mod 16 a^4, and those only up to sign, as g reads them through
+    m^2, d^2 and +-m d.  g divides 16 a^4, so with M = (16 a^4)^r for r
+    doublings left and M' = M / 16 a^4, g M' divides M, and +-num =
+    alpha^2 / g and +-den = 4 m d beta / g are (alpha^2 mod g M') / g and
+    (4 m d beta mod g M') / g mod M', read from m and d mod M.
+    """
     if max(m.bit_length(), d.bit_length()) < _BRACKET_BITS:
         return None
-    brackets, beta_sign = _doubling_step(a, _exact(m), _exact(d), _doubling_gcd(a, m, d))
-    return brackets if beta_sign else None
+    k = 16 * a**4
+    modulus = k**doublings
+    mb, db = _exact(m), _exact(d)
+    m, d = m % modulus, d % modulus
+    for _ in range(doublings):
+        g = _doubling_gcd(a, m, d)
+        brackets, beta_sign = _doubling_step(a, mb, db, g)
+        if mb[0] == 0 or beta_sign == 0:
+            return None
+        modulus //= k
+        gm = g * modulus
+        m, d = m % gm, d % gm
+        m2, ad2 = m * m, a * d * d
+        alpha = (m2 - ad2) % gm
+        m, d = alpha * alpha % gm // g, 4 * m * d * (m2 + ad2) % gm // g
+        mb, db = brackets[2:]
+    return brackets
 
 
 def _bracket_log(x: _Bracket) -> float | None:
@@ -338,11 +362,12 @@ def _doubling_logs(a: int, m: int, d: int) -> tuple[float, ...]:
     """math.log of |alpha|, d^2, |num| and den, alpha = m^2 - a d^2 and
     x(2P) = num/den = x_after_doubling(a, m, d), bit for bit.
 
-    Each log is read from its bracket when the bracket decides it; below
-    _BRACKET_BITS, and for any log a bracket leaves open, the integers are
-    built, which also raises ZeroDivisionError where x(2P) is infinite.
+    Each log is read from its bracket of one doubling of _doubling_chain
+    when the bracket decides it; below the chain's crossover, and for any
+    log a bracket leaves open, the integers are built, which also raises
+    ZeroDivisionError where x(2P) is infinite.
     """
-    brackets = _doubling_brackets(a, m, d)
+    brackets = _doubling_chain(a, m, d, 1)
     logs = [None] * 4 if brackets is None else [_bracket_log(x) for x in brackets]
     if None in logs:
         num, den = x_after_doubling(a, m, d)
@@ -356,68 +381,20 @@ def naive_height_after_doubling(a: int, m: int, d: int, doublings: int = 1) -> f
     doublings, reached from x(P) = m/d by x_after_doubling, bit for bit.
 
     x has about four times as many digits after a doubling, so building
-    the pairs is most of the cost.  They are built while max(|m|, d) is
-    below _BRACKET_BITS; past it, the doublings run on brackets and
-    residues (_residue_doubling).  Where a bracket does not decide, the
-    rest of the chain is built from the last pair.
+    the pairs is most of the cost.  Each round tries the rest of the chain
+    on brackets and residues (_doubling_chain) from the current pair, and
+    reads the log when the last brackets of |num| and den pick the larger
+    one and decide its log.  Otherwise, below the chain's crossover or
+    where a bracket does not decide, it builds one pair and tries again
+    from it, one doubling fewer.
     """
-    while doublings and max(m.bit_length(), d.bit_length()) < _BRACKET_BITS:
+    for r in range(doublings, 0, -1):
+        brackets = _doubling_chain(a, m, d, r)
+        if brackets is not None:
+            num, den = brackets[2:]
+            top = num if _exceeds(num, den) else den if _exceeds(den, num) else None
+            log = None if top is None else _bracket_log(top)
+            if log is not None:
+                return log
         m, d = x_after_doubling(a, m, d)
-        doublings -= 1
-    log = _height_from_brackets(a, m, d, doublings) if doublings else None
-    if log is None:
-        for _ in range(doublings):
-            m, d = x_after_doubling(a, m, d)
-        log = math.log(max(abs(m), d))
-    return log
-
-
-#: what a doubling on brackets carries of x = m/d: the sign of m, the
-#: residues of m and d mod (16 a^4)^r for r doublings left, that modulus,
-#: and brackets of |m| and d
-_ResidueState = tuple[int, int, int, int, _Bracket, _Bracket]
-
-
-def _residue_state(a: int, m: int, d: int, doublings: int) -> _ResidueState:
-    modulus = (16 * a**4) ** doublings
-    return 1 if m > 0 else -1, m % modulus, d % modulus, modulus, _exact(m), _exact(d)
-
-
-def _residue_doubling(
-    a: int, sign: int, m: int, d: int, modulus: int, mb: _Bracket, db: _Bracket
-) -> _ResidueState | None:
-    """The state of x(2P) from that of x(P) = m/d, or None where mb or the
-    bracket of beta = m^2 + a d^2 may hold 0.
-
-    g = _doubling_gcd needs only m and d mod 16 a^4.  g divides 16 a^4, so
-    with M = modulus and M' = M / 16 a^4, g M' divides M, and |num| =
-    alpha^2 / g and den = |4 m d beta| / g are (alpha^2 mod g M') / g and
-    (|4 m d beta| mod g M') / g mod M', read from m and d mod M.  As in
-    x_after_doubling, the sign of num is that of m times that of beta.
-    """
-    g = _doubling_gcd(a, m, d)
-    (_, _, num, den), beta_sign = _doubling_step(a, mb, db, g)
-    if mb[0] == 0 or beta_sign == 0:
-        return None
-    sign *= beta_sign
-    modulus //= 16 * a**4
-    gm = g * modulus
-    m, d = m % gm, d % gm
-    m2, ad2 = m * m, a * d * d
-    alpha = (m2 - ad2) % gm
-    num_res = sign * (alpha * alpha % gm // g) % modulus
-    return sign, num_res, sign * 4 * m * d * (m2 + ad2) % gm // g, modulus, num, den
-
-
-def _height_from_brackets(a: int, m: int, d: int, doublings: int) -> float | None:
-    """naive_height_after_doubling from brackets and residues, or None
-    where a doubling does not decide, or where at the end the brackets of
-    |num| and den overlap or the larger one's log is open."""
-    state = _residue_state(a, m, d, doublings)
-    for _ in range(doublings):
-        state = _residue_doubling(a, *state)
-        if state is None:
-            return None
-    num, den = state[4:]
-    top = num if _exceeds(num, den) else den if _exceeds(den, num) else None
-    return None if top is None else _bracket_log(top)
+    return math.log(max(abs(m), d))

@@ -11,10 +11,11 @@ nonarch_sum_identity their _denominator_sequence and _sum_identity, which
 bounds calls on points it has already checked.  The limit oracle recomputes
 it independently from the definition (1/2) lim h(2^n P) / 4^n, bit for
 bit as in exact arithmetic: it doubles x as an integer pair in lowest
-terms while the pair is small, and past that on integer brackets of the
-top bits of the pair and on its residues mod powers of 16 a^4, reading
-h(2^n P) = log max(|num|, den) from the last brackets; where a bracket
-does not decide, it builds the rest of the chain.  It is the main
+terms while the pair is small, and past that runs the rest of the chain
+on integer brackets of the top bits of the pair and on its residues mod
+powers of 16 a^4, reading h(2^n P) = log max(|num|, den) from the last
+brackets; where a bracket does not decide, it builds one pair and runs
+the chain again from it.  It is the main
 cross-check for the decomposition path; the oracle command, the tests and
 the benchmark run it, the sweep does not.
 """
@@ -167,9 +168,10 @@ def limit_oracle(curve: Curve, point: Point, doublings: int = 6) -> float:
     """(1/2) h(2^n P) / 4^n: the definition itself, with h(2^n P) from
     curve.naive_height_after_doubling, bit for bit as from the reduced
     pair of x(2^n P).  That doubles x(P) = m/d as a pair of integers in
-    lowest terms while it is small, and past that on brackets of its top
-    bits and its residues mod powers of 16 a^4; it builds the pairs where a
-    bracket does not decide.  It reads no local height, series or table.
+    lowest terms while it is small, and past that runs the rest of the
+    chain on brackets of its top bits and its residues mod powers of
+    16 a^4; where a bracket does not decide, it builds one pair and runs
+    the chain again from it.  It reads no local height, series or table.
 
     Independent of the local decomposition; agreement between the two is
     the core correctness check.

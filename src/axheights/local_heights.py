@@ -266,8 +266,10 @@ def _lambda_inf(a: int, m: int, d: int) -> ArchHeightValue:
 
     For a < 0 the first term and the seed t read log|m^2 - a d^2|, log d^2
     and log|num| - log den of x(2P) = num/den from curve._doubling_logs:
-    past its crossover from brackets of the top bits of m and d, without
-    building those integers, and bit for bit as from the built ones.
+    past the crossover from the brackets of one doubling of the chain that
+    the limit oracle runs, without building those integers, and bit for
+    bit as from the built ones, which it builds where a bracket does not
+    decide.
     """
     series = 0.0
     if a < 0:

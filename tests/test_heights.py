@@ -246,32 +246,39 @@ def test_limit_oracle_matches_the_exact_chain_on_multiples(a, pt, k):
 def test_limit_oracle_falls_back_to_the_exact_chain(monkeypatch):
     # with _BRACKET_BITS = 1 the doublings run on brackets from the first
     # step, and with ends of 60 bits a bracket often rounds apart; where
-    # one does not decide, the rest of the chain is built from the last
-    # pair, and the values stay the exact chain's
+    # the chain does not decide, one pair is built and the chain is tried
+    # again from it, and the values stay the exact chain's
     cases = [(c, p, 6) for c, p in _small_points() if abs(c.a) <= 20]
     cases += [(Curve(a), _multiple(a, pt, k), 3) for a, pt in _BASES for k in (17, 40)]
     expected = [_exact_chain(c.a, p.x.numerator, p.x.denominator, n) for c, p, n in cases]
-    events = []
-    from_brackets = curve._height_from_brackets
+    # per oracle call: "o" where the chain returned None, "b" where it
+    # returned brackets, "B" for a pair built
+    calls = []
+    chain = curve._doubling_chain
 
     def traced(*args):
-        log = from_brackets(*args)
-        events.append("open" if log is None else "decided")
-        return log
+        brackets = chain(*args)
+        calls[-1] += "o" if brackets is None else "b"
+        return brackets
 
     def built(a, m, d):
-        events.append("built")
+        calls[-1] += "B"
         return x_after_doubling(a, m, d)
 
     monkeypatch.setattr(curve, "_BRACKET_BITS", 1)
     monkeypatch.setattr(curve, "_TOP_BITS", 60)
-    monkeypatch.setattr(curve, "_height_from_brackets", traced)
+    monkeypatch.setattr(curve, "_doubling_chain", traced)
     monkeypatch.setattr(curve, "x_after_doubling", built)
     for (c, p, depth), values in zip(cases, expected):
-        got = [limit_oracle(c, p, k) for k in range(1, depth + 1)]
+        got = []
+        for k in range(1, depth + 1):
+            calls.append("")
+            got.append(limit_oracle(c, p, k))
         assert _hexes(got) == _hexes(values), (c.a, p)
-    assert "decided" in events
-    assert ("open", "built") in zip(events, events[1:])
+    assert any(events.endswith("b") for events in calls)  # decided on brackets
+    assert any("oB" in events for events in calls)  # a bracket held 0
+    assert any("bB" in events for events in calls)  # the last brackets left it open
+    assert any("Bo" in events or "Bb" in events for events in calls)  # tried again
 
 
 @pytest.mark.parametrize("a, pt, k", [(-17, (-1, 4), 89), (-17, (-1, 4), 300), (3, (1, 2), 89)])

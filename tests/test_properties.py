@@ -5,9 +5,9 @@ error bounds of the heights it combines, weighted by their coefficients.
 The x-only duplication map is checked against the group law on the same
 points and against the plain rational formula; the naive height of its
 image and the logs of the doubling's integers, read from top-bit brackets,
-against the built integers, with a count of the calls that build them; one
-doubling on brackets and residues against the built pair, and the log of a
-bracket against math.log of the built integer around and above 2^1024;
+against the built integers, with a count of the calls that build them; a
+chain of one to four doublings on brackets and residues against the built
+chain, and the log of a bracket against math.log of the built integer around and above 2^1024;
 ord_int at 2 against the division loop, the archimedean local height on
 the integer pair against the Fraction route, and the membership test
 against the plain Fraction equation."""
@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from axheights import curve
@@ -29,11 +29,9 @@ from axheights.curve import (
     Curve,
     Point,
     _bracket_log,
-    _doubling_brackets,
+    _doubling_chain,
     _doubling_logs,
     _exceeds,
-    _residue_doubling,
-    _residue_state,
     affine,
     naive_height_after_doubling,
     x_after_doubling,
@@ -198,7 +196,7 @@ def test_height_after_doubling_reads_one_side(a, m, d, side, monkeypatch):
     assert (abs(num) > den) == (side == "num")
     expected = _plain_height_after_doubling(a, m, d)
     monkeypatch.setattr(curve, "_BRACKET_BITS", 0)
-    num_b, den_b = _doubling_brackets(a, m, d)[2:]
+    num_b, den_b = _doubling_chain(a, m, d, 1)[2:]
     assert _exceeds(num_b, den_b) if side == "num" else _exceeds(den_b, num_b)
     built = _Counted(monkeypatch)
     assert naive_height_after_doubling(a, m, d).hex() == expected.hex()
@@ -239,7 +237,7 @@ def test_height_after_doubling_near_a_tie(a, lo, hi, monkeypatch):
     m, d = _pair(x)
     expected = _plain_height_after_doubling(a, m, d)
     monkeypatch.setattr(curve, "_BRACKET_BITS", 0)
-    num_b, den_b = _doubling_brackets(a, m, d)[2:]
+    num_b, den_b = _doubling_chain(a, m, d, 1)[2:]
     assert not _exceeds(num_b, den_b) and not _exceeds(den_b, num_b)
     built = _Counted(monkeypatch)
     assert naive_height_after_doubling(a, m, d).hex() == expected.hex()
@@ -254,13 +252,26 @@ def test_height_after_doubling_near_a_tie(a, lo, hi, monkeypatch):
     ],
 )
 def test_height_after_doubling_at_infinity(a, m, d):
-    # m = 0 or m^2 + a d^2 = 0: x(2P) is infinite, for both functions; the
-    # last case is past the bracket crossover, where the bracket of
+    # m = 0 or m^2 + a d^2 = 0: x(2P) is infinite, for all three functions;
+    # the last case is past the bracket crossover, where the bracket of
     # m^2 + a d^2 holds 0 and sends it to the exact route
     with pytest.raises(ZeroDivisionError):
         x_after_doubling(a, m, d)
     with pytest.raises(ZeroDivisionError):
         naive_height_after_doubling(a, m, d)
+    with pytest.raises(ZeroDivisionError):
+        _doubling_logs(a, m, d)
+
+
+@pytest.mark.parametrize("a, m", [(4, 2), ((10**250 + 7) ** 2, 10**250 + 7)])
+def test_height_after_doubling_through_the_origin(a, m, monkeypatch):
+    # x(2P) = 0 for m^2 = a and d = 1, so x(4P) is infinite; with the
+    # crossover at one bit the chain meets x = 0 on brackets, exact ones in
+    # the first case, and sends it to the exact route
+    assert x_after_doubling(a, m, 1)[0] == 0
+    monkeypatch.setattr(curve, "_BRACKET_BITS", 1)
+    with pytest.raises(ZeroDivisionError):
+        naive_height_after_doubling(a, m, 1, 2)
 
 
 def _ord_by_division(n: int, p: int) -> int:
@@ -400,7 +411,7 @@ def test_doubling_logs_at_a_rounding_midpoint(monkeypatch):
     # left open and the integers are built, once per call
     d = math.isqrt((2**53 + 1) << 1600)
     a, m = -17, d + 1
-    lo, hi, _ = _doubling_brackets(a, m, d)[1]
+    lo, hi, _ = _doubling_chain(a, m, d, 1)[1]
     assert float(lo) != float(hi)
     expected = _exact_logs(a, m, d)
     reference = fraction_lambda_inf(a, Fraction(m, d))
@@ -466,29 +477,37 @@ def _holds(bracket, n: int) -> bool:
     return lo << e <= n <= hi << e
 
 
-#: numerators and denominators of 700 to 3,000 bits
-HUGE = st.integers(2**699, 2**3000)
+#: numerators and denominators of 700 to 1,200 bits: four built doublings
+#: take them to about 300,000 bits
+HUGE = st.integers(2**699, 2**1200)
 
 
 @PROPERTY
 @given(NONZERO_A, HUGE, HUGE, st.booleans(), st.integers(1, 4))
-def test_residue_doubling_matches_the_built_pair(a, m, d, negative, doublings):
-    # one doubling on brackets and on residues mod (16 a^4)^r: the built
-    # |num| and den lie in its brackets, its residues mod (16 a^4)^(r - 1)
-    # are theirs, and its sign is that of num
+@example(-1, 2**699 + 1, 2**699, False, 1)  # beta = 2^700 + 1
+@example(3, *_pell_3(600), False, 2)  # alpha = 1, so num's bracket starts at 0
+@example((2**61 - 1) ** 3, (2**61 - 1) ** 2 * (3**500 + 2), 5**400, True, 3)  # g > 2^300
+def test_doubling_chain_matches_the_built_chain(a, m, d, negative, doublings):
+    # r doublings on brackets and on residues mod (16 a^4)^r: the built
+    # |alpha|, d^2, |num| and den of the last step lie in its brackets
     assume(math.gcd(m, d) == 1)
     m = -m if negative else m
-    beta = m * m + a * d * d
-    num, den = x_after_doubling(a, m, d)
-    state = _residue_doubling(a, *_residue_state(a, m, d, doublings))
-    if state is None:  # beta's bracket holds 0: a cancellation of ~120 bits
-        assert abs(beta) <= (m * m + abs(a) * d * d) >> (_TOP_BITS - 8), (a, m, d)
+    brackets = _doubling_chain(a, m, d, doublings)
+    steps = []
+    for _ in range(doublings):
+        m2, ad2 = m * m, a * d * d
+        steps.append((m2 - ad2, m2 + ad2, m2 + abs(ad2), d * d))
+        m, d = x_after_doubling(a, m, d)
+    if brackets is None:  # a bracket of alpha or beta holds 0: a cancellation
+        assert any(
+            abs(beta) <= size >> (_TOP_BITS - 16)
+            or (i < doublings - 1 and abs(alpha) <= size >> (_TOP_BITS - 16))
+            for i, (alpha, beta, size, _) in enumerate(steps)
+        ), (a, doublings)
         return
-    sign, num_res, den_res, modulus, num_b, den_b = state
-    assert modulus == (16 * a**4) ** (doublings - 1)
-    assert sign == (1 if num > 0 else -1)
-    assert (num_res, den_res) == (num % modulus, den % modulus)
-    assert _holds(num_b, abs(num)) and _holds(den_b, den)
+    alpha, _, _, d2 = steps[-1]
+    for bracket, n in zip(brackets, (abs(alpha), d2, abs(m), d)):
+        assert _holds(bracket, n), (a, doublings)
 
 
 #: ends of 1 to 128 bits, with the carries 2^k - 1 and 2^k - 2^(k - 54)
