@@ -7,10 +7,10 @@ points and against the plain rational formula; the naive height of its
 image and the logs of the doubling's integers, read from top-bit brackets,
 against the built integers, with a count of the calls that build them; a
 chain of one to four doublings on brackets and residues against the built
-chain, and the log of a bracket against math.log of the built integer around and above 2^1024;
-ord_int at 2 against the division loop, the archimedean local height on
-the integer pair against the Fraction route, and the membership test
-against the plain Fraction equation."""
+chain, and the log of a bracket against math.log of the built integer
+around and above 2^1024; ord_int at 2 against the division loop, the
+archimedean local height on the integer pair against the Fraction route,
+and the membership test against the plain Fraction equation."""
 
 import math
 import random
