@@ -127,6 +127,12 @@ def _exact(theorem: str, ok: bool, bound: float = 0.0, actual: float = 0.0,
                       note=note)
 
 
+#: curves whose bounds the three per-a caches below keep; _certify reads them
+#: for each of a curve's points, and a sweep visits the curves in turn
+_PER_A_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_PER_A_CACHE)
 def lang_lower_bound(a: int) -> LangBound:
     """The sharp lower bound for hhat of a nontorsion point on a minimal model."""
     if a == 0 or not is_fourth_power_free(a):
@@ -138,6 +144,7 @@ def lang_lower_bound(a: int) -> LangBound:
     return LangBound(a=a, class_tag=f"{sign}-{group}", constant=constant, bound=bound)
 
 
+@functools.lru_cache(maxsize=_PER_A_CACHE)
 def corollary_bound(a: int) -> float:
     """(1/48) log|disc| - (1/4) log 2, on the minimal model of a."""
     a4f, _ = fourth_power_free_part(a)
@@ -145,6 +152,7 @@ def corollary_bound(a: int) -> float:
     return math.log(disc) / 48.0 - LOG2 / 4.0
 
 
+@functools.lru_cache(maxsize=_PER_A_CACHE)
 def diff_bounds(a: int) -> DiffBounds:
     """Two-sided bounds on (1/2)h - hhat; the constant lower bound is the
     better one for small |a|."""

@@ -322,7 +322,7 @@ def cmd_sweep(args) -> int:
             try:
                 if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # not a pipe or a device
                     out.truncate(0)
-                if args.out.endswith(".csv"):
+                if args.out.lower().endswith(".csv"):
                     _write_sweep_csv(report, out)
                 else:
                     json.dump(_sweep_document(report, violations, True), out, indent=2)

@@ -41,12 +41,17 @@ from .local_heights import (
     NonArchLocalHeight,
     _lambda_inf,
     _lambda_p,
+    _local_class,
+    _local_terms,
     bad_primes,
 )
 
 MAX_DOUBLINGS = 10
 
 _EPS = sys.float_info.epsilon
+
+#: the residue of every prime where the sum identity holds, shared
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,6 +242,12 @@ def _sum_identity(curve: Curve, m: int, d: int) -> tuple[bool, dict[int, Fractio
     num g = (m^2 - a d^2)^2 and, on the curve, den g = (2 s n)^2, where g
     divides 16 a^4 (see nonarch_sum_identity): (False, {}) means that g is
     not a square, and the only root taken is that of g.
+
+    Each prime's two sides are compared as integers, in 24ths of log p:
+    lambda_p(2P) from the memo of local_heights._local_terms, and
+    12 ord_p(den) + 2 ord_p(disc) - 12 [indicator], where ord_p(den) is
+    the memo key's max(0, -ord_p x(2P)), as den > 0 and gcd(num, den) = 1.
+    A Fraction is built only for a nonzero residue; the zeros share one.
     """
     a = curve.a
     num, den = x_after_doubling(a, m, d)
@@ -246,10 +257,16 @@ def _sum_identity(curve: Curve, m: int, d: int) -> tuple[bool, dict[int, Fractio
     indicator = a % 16 == 4 and ord_int(num, 2) > 0
     residues: dict[int, Fraction] = {}
     disc = curve.discriminant
+    ok = True
     for p in bad_primes(curve):
-        lhs = _lambda_p(a, num, den, p).coefficient
-        twelfths = 6 * ord_int(den, p) + ord_int(disc, p)
+        key = _local_class(a, num, den, p)
+        lhs = _local_terms(*key)[3]
+        rhs = 12 * key[2] + 2 * ord_int(disc, p)  # key[2] = ord_p(den)
         if p == 2 and indicator:
-            twelfths -= 6
-        residues[p] = lhs - Fraction(twelfths, 12)
-    return all(r == 0 for r in residues.values()), residues
+            rhs -= 12
+        if lhs == rhs:
+            residues[p] = _ZERO
+        else:
+            residues[p] = Fraction(lhs - rhs, 24)
+            ok = False
+    return ok, residues

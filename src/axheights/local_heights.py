@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -124,10 +125,15 @@ def _reduction(a: int, p: int) -> tuple[_Reduction, int]:
     """The reduction class of a minimal a at the prime p, and ord_p(disc),
     disc = -64 a^3.  p is not tested for primality: the public callers check
     it, the internal ones pass primes from factorize."""
-    if p == 2:
-        return _TWO_ADIC[a % 64], 6 + 3 * ord_int(a, 2)
-    e = ord_int(a, p)
-    return _ODD[e], 3 * e
+    return _row(True, a % 64) if p == 2 else _row(False, ord_int(a, p))
+
+
+def _row(two: bool, cls: int) -> tuple[_Reduction, int]:
+    """_reduction from the row's key: a mod 64 at 2, which keeps ord_2(a)
+    <= 3 of a minimal a, and e = ord_p(a) at an odd p."""
+    if two:
+        return _TWO_ADIC[cls], 6 + 3 * ord_int(cls, 2)
+    return _ODD[cls], 3 * cls
 
 
 def classify_reduction(curve: Curve, p: int) -> ReductionData:
@@ -160,23 +166,67 @@ def lambda_nonarch(curve: Curve, point: Point, p: int) -> NonArchLocalHeight:
 def _lambda_p(a: int, m: int, d: int, p: int) -> NonArchLocalHeight:
     """lambda_nonarch from a and x(P) = m/d (lowest terms, d > 0) alone, for
     a point and prime the caller has checked."""
-    row, ord_delta = _reduction(a, p)
-    ord_x = ord_int(m, p) - ord_int(d, p)
-    v = ord_x
-    if p == 2 and row.kodaira == "III":
-        # ord_2(x + a) = ord_2(m + a d) - ord_2(d), as gcd(m + a d, d) = 1: with
-        # an even denominator the valuation is negative and the case cannot
-        # fire.  x + a = 0 counts as valuation +infinity.
-        s = m + a * d
-        v = math.inf if s == 0 else ord_int(s, 2) - ord_int(d, 2)
+    coefficient, correction, tag, _ = _local_terms(*_local_class(a, m, d, p))
+    return NonArchLocalHeight(p, coefficient, correction, tag)
+
+
+#: min(ord_2(n), 2) for a nonzero n, indexed by n mod 4
+_CLAMPED_ORD_2 = (2, 0, 1, 0)
+
+
+def _local_class(a: int, m: int, d: int, p: int) -> tuple[bool, int, int, int]:
+    """The key of _local_terms for lambda_p at x = m/d (lowest terms, d > 0):
+    whether p = 2; the row of the reduction tables, a mod 64 at 2 and
+    e = ord_p(a) at an odd p; neg = max(0, -ord_p(x)); and the valuation v
+    that picks the correction (ord_2(x + a) for III at 2, else ord_p(x)),
+    clamped to -1..2.  The clamp loses nothing while every correction's
+    least valuation lies in 0..2 (the tables use 1 and 2).  p enters only
+    through these small ints, so the key space does not grow with the
+    primes a caller meets.
+
+    gcd(m, d) = 1, so when p | d, v = -ord_p(d) < 0 (for III at 2, m + a d
+    is then odd), and otherwise v is ord_p(m) >= 0 or, for III at 2,
+    ord_2(m + a d) >= 0; x + a = 0 counts as valuation +infinity, as 0 = 0
+    mod 4.
+    """
+    if p == 2:
+        cls = a % 64
+        if not d & 1:
+            return True, cls, (d & -d).bit_length() - 1, -1
+        n = m + a * (d & 3) if _TWO_ADIC[cls].kodaira == "III" else m  # = x + a mod 4
+        return True, cls, 0, _CLAMPED_ORD_2[n & 3]
+    cls = ord_int(a, p)
+    if not d % p:
+        return False, cls, ord_int(d, p), -1
+    return False, cls, 0, 0 if m % p else 1 if m % (p * p) else 2
+
+
+@lru_cache(maxsize=1024)
+def _local_terms(
+    two: bool, cls: int, neg: int, v: int
+) -> tuple[Fraction, Fraction, str, int | Fraction]:
+    """(coefficient, correction, tag, 24 * coefficient) of lambda_p for the
+    key of _local_class: coefficient = (1/12)(6 neg + ord_p(disc)) -
+    correction, where the correction is the first of the row's whose least
+    valuation v reaches.  24 * coefficient is an int, as every correction
+    is a multiple of 1/24; were a patched one not, it would stay a Fraction.
+
+    The memo holds only immutable values and is bounded; the key holds no p.
+    A test that patches _TWO_ADIC or _ODD must call _local_terms.cache_clear()
+    before and after, or it reads the rows of the other tables.
+    """
+    row, ord_delta = _row(two, cls)
     correction, tag = next(((value, tag) for least, value, tag in row.corrections if v >= least),
                            _NO_CORRECTION)
-    # (6 max(0, -ord_x) + ord_delta) / 12 - correction, as one Fraction
-    twelfths = 6 * max(0, -ord_x) + ord_delta
+    # (6 neg + ord_delta) / 12 - correction, as one Fraction
+    twelfths = 6 * neg + ord_delta
     coefficient = Fraction(
         twelfths * correction.denominator - 12 * correction.numerator, 12 * correction.denominator
     )
-    return NonArchLocalHeight(p, coefficient, correction, tag)
+    twenty_fourths = 24 * coefficient
+    if twenty_fourths.denominator == 1:
+        twenty_fourths = twenty_fourths.numerator
+    return coefficient, correction, tag, twenty_fourths
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,20 @@ def test_sweep_output_bytes_frozen(tmp_path, capsys, workers, suffix):
     assert out_path.read_bytes() == (DATA / f"sweep_m20_20_b30.{suffix}").read_bytes()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_sweep_out_suffix_ignores_case(tmp_path, capsys):
+    # --help says ".csv or .json": .CSV writes the bytes of .csv, and .json
+    # and a path with neither suffix, /dev/null, still get the JSON report
+    for name, suffix in (("r.CSV", "csv"), ("r.Csv", "csv"), ("r.csv", "csv"), ("r.json", "json")):
+        out_path = tmp_path / name
+        code, out, _ = run(capsys, *_frozen_sweep_argv("1", out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / f"sweep_m20_20_b30.{suffix}").read_bytes(), name
+    rows = len(json.loads((DATA / "sweep_m20_20_b30.json").read_text())["rows"])
+    code, out, err = run(capsys, *_frozen_sweep_argv("1", "/dev/null"))
+    assert (code, out, err) == (0, f"wrote {rows} rows to /dev/null\n", "")
+
+
 def test_sweep_failing_identity_exits_5(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bounds, "_sum_identity", lambda curve, m, d: (False, {2: Fraction(1)}))
     out_path = tmp_path / "r.json"

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -5,16 +6,19 @@ from fractions import Fraction
 import pytest
 
 from axheights import curve, local_heights
-from axheights.arithmetic import is_fourth_power_free, ord_int
-from axheights.curve import _BRACKET_BITS, Curve, Point, affine
+from axheights.arithmetic import is_fourth_power_free, ord_int, small_primes
+from axheights.curve import _BRACKET_BITS, Curve, Point, affine, x_after_doubling
 from axheights.errors import NotMinimal, NotOnCurve, NotPrime, TorsionPoint, ZeroX
 from axheights.families import FAMILIES
-from axheights.heights import canonical_height
+from axheights.heights import canonical_height, nonarch_sum_identity
 from axheights.local_heights import (
     _ODD,
     _TWO_ADIC,
+    NonArchLocalHeight,
     _lambda_inf,
     _lambda_p,
+    _local_terms,
+    _reduction,
     _translated_start,
     _z_pos,
     bad_primes,
@@ -445,3 +449,134 @@ def test_archimedean_lower_bound_ranges():
         lam = lambda_archimedean(curve, point).value
         floor_ = 0.25 * math.log(a) - math.log(abs(curve.discriminant)) / 12.0
         assert lam > floor_
+
+
+def _reference_valuations(a: int, m: int, d: int, p: int) -> tuple[int, int | float]:
+    """ord_p(x) for x = m/d, and the valuation that picks the correction:
+    ord_2(x + a) for III at 2 (+infinity at x + a = 0), else ord_p(x)."""
+    ord_x = ord_int(m, p) - ord_int(d, p)
+    if p == 2 and _reduction(a, 2)[0].kodaira == "III":
+        s = m + a * d
+        return ord_x, math.inf if s == 0 else ord_int(s, 2) - ord_int(d, 2)
+    return ord_x, ord_x
+
+
+def _reference_terms(a: int, p: int, ord_x: int, v: int | float) -> NonArchLocalHeight:
+    """lambda_p by the case split read straight off the tables, with no memo
+    and no clamp: (1/12)(6 max(0, -ord_x) + ord_p(disc)) minus the first
+    correction whose least valuation v reaches."""
+    row, ord_delta = _reduction(a, p)
+    correction, tag = next(((value, tag) for least, value, tag in row.corrections if v >= least),
+                           (Fraction(0), "otherwise"))
+    coefficient = Fraction(6 * max(0, -ord_x) + ord_delta, 12) - correction
+    return NonArchLocalHeight(p, coefficient, correction, tag)
+
+
+def _reference_lambda_p(a: int, m: int, d: int, p: int) -> NonArchLocalHeight:
+    return _reference_terms(a, p, *_reference_valuations(a, m, d, p))
+
+
+def _fourth_power_free(bound: int) -> list[int]:
+    return [a for a in range(-bound, bound + 1) if a and is_fourth_power_free(a)]
+
+
+def test_lambda_p_matches_the_reference_formula():
+    # every fourth-power-free 0 < |a| <= 400 and x = m/d with 0 < |m| <= 70
+    # and d in 1, p, p^2 (at 2: 1, 2, 4, 8 and 3, for x + a mod 4), at the
+    # primes p of 2a and at 3, 5 and 7: all four fields of the memoised
+    # lambda_p equal those of the plain case split.  The reference keeps its
+    # Fractions by the unclamped valuations only, to keep the grid's 1.4
+    # million cases to a few seconds
+    reference = functools.cache(_reference_terms)
+    grids = {}
+    for a in _fourth_power_free(400):
+        for p in sorted({2, 3, 5, 7, *bad_primes(Curve(a))}):
+            if p not in grids:
+                ds = (1, 2, 4, 8, 3) if p == 2 else (1, p, p * p)
+                grids[p] = [(m, d) for d in ds for m in range(-70, 71) if m and math.gcd(m, d) == 1]
+            got = [_lambda_p(a, m, d, p) for m, d in grids[p]]
+            expected = [reference(a, p, *_reference_valuations(a, m, d, p)) for m, d in grids[p]]
+            if got != expected:
+                m, d = next(x for x, g, e in zip(grids[p], got, expected) if g != e)
+                pytest.fail(f"lambda_p differs at a = {a}, x = {m}/{d}, p = {p}")
+
+
+def test_local_terms_memo_does_not_grow_with_the_primes():
+    # the memo's key holds no prime: lambda_p over every fourth-power-free
+    # 0 < |a| <= 2000, then twice more with a new prime q in den x for each a
+    # (read at the primes of 2a and at q), leaves the memo as large after
+    # 2 x 1,540 new primes as after the first 1,540
+    a_values = _fourth_power_free(2000)
+    fresh = iter(q for q in small_primes() if q > 2000)
+    xs = ((1, 1), (2, 1), (4, 1), (-3, 1), (1, 2), (3, 4), (5, 8))
+
+    def fill(new_prime: bool) -> int:
+        for a in a_values:
+            q = next(fresh) if new_prime else 1
+            primes = bad_primes(Curve(a)) + ([q] if new_prime else [])
+            for m, d in xs:
+                for p in primes:
+                    _lambda_p(a, m, d * q, p)
+        return _local_terms.cache_info().currsize
+
+    _local_terms.cache_clear()
+    sizes = [fill(False), fill(True), fill(True)]
+    assert sizes[1] == sizes[2] < _local_terms.cache_info().maxsize, sizes
+    assert sizes[1] - sizes[0] <= 4 * len(xs), sizes  # the keys of the new good primes
+
+
+@pytest.fixture
+def cleared_memo(monkeypatch):
+    """monkeypatch for the reduction tables, with the memo cleared before
+    the patch and after it is undone."""
+    _local_terms.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    _local_terms.cache_clear()
+
+
+def _reference_sum_identity(a: int, m: int, d: int) -> dict[int, Fraction]:
+    """The residues of the sum identity by Fractions, from the reference
+    lambda_p at x(2P) = num/den."""
+    num, den = x_after_doubling(a, m, d)
+    indicator = a % 16 == 4 and ord_int(num, 2) > 0
+    residues = {}
+    for p in bad_primes(Curve(a)):
+        twelfths = 6 * ord_int(den, p) + ord_int(-64 * a**3, p) - 6 * (p == 2 and indicator)
+        residues[p] = _reference_lambda_p(a, num, den, p).coefficient - Fraction(twelfths, 12)
+    return residues
+
+
+# one correction patched each: the 1/2 of a = 4 mod 64 at ord_2(x) > 1
+# becomes 1/3, and the corrections of I3* at 2 (a = 52 mod 64) and of III
+# at an odd p fire from valuation 0 on, which the clamp of the memo's key
+# must tell from a negative valuation
+_PATCHES = {
+    "two-adic": lambda: (_TWO_ADIC, 4, _TWO_ADIC[4]._replace(corrections=(
+        (2, Fraction(1, 3), "patched"), *_TWO_ADIC[4].corrections[1:]))),
+    "two-adic-zero": lambda: (_TWO_ADIC, 52, _TWO_ADIC[52]._replace(
+        corrections=((0, Fraction(1, 3), "patched"),))),
+    "odd": lambda: (_ODD, 1, _ODD[1]._replace(corrections=((0, Fraction(1, 4), "patched"),))),
+}
+
+
+@pytest.mark.parametrize("patch", sorted(_PATCHES))
+def test_sum_identity_residues_match_the_fraction_route(cleared_memo, acceptance_sweep, patch):
+    # with a table patched, the identity fails where the patched correction
+    # fires, and the memoised 24ths give the same nonzero residues as Fractions
+    table, key, row = _PATCHES[patch]()
+    if table is _ODD:
+        cleared_memo.setattr(local_heights, "_ODD", (*_ODD[:key], row, *_ODD[key + 1:]))
+    else:
+        cleared_memo.setitem(table, key, row)
+    c, base = Curve(-17), affine(-1, 4)
+    points = [(r.a, Point(Fraction(r.x), Fraction(r.y))) for r in acceptance_sweep.rows]
+    points += [(-17, c.multiply(k, base)) for k in range(1, 41)]
+    failed = 0
+    for a, point in points:
+        ok, residues = nonarch_sum_identity(Curve(a), point)
+        expected = _reference_sum_identity(a, point.x.numerator, point.x.denominator)
+        assert residues == expected, (a, point.x)
+        assert ok == (set(residues.values()) == {0})
+        failed += not ok
+    assert failed, "the patch fired on no point"
