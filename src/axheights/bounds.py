@@ -15,10 +15,8 @@ once per point find_points returns.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,8 +36,6 @@ from .heights import (
     _height_on_minimal,
     _sum_identity,
 )
-
-logger = logging.getLogger(__name__)
 
 LOG2 = math.log(2.0)
 
@@ -591,11 +587,18 @@ def sweep(
     workers = min(workers, -(-len(tasks) // _CHUNK))
     results = None
     if workers > 1:
+        # the pool's modules and logging load here, not at import: a process
+        # that starts no pool pays for neither
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_curve_task, tasks, chunksize=_CHUNK))
         except OSError as exc:
-            logger.warning("process pool unavailable (%s); running serially", exc)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "process pool unavailable (%s); running serially", exc)
     if results is None:
         results = [_sweep_curve_task(t) for t in tasks]
     for (rows, torsion), failure in results:

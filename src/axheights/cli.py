@@ -249,9 +249,9 @@ _SWEEP_COLUMNS = [
 
 
 def _sweep_row_record(row) -> dict:
-    # rows are nontorsion points, so every theorem below has its check
-    by_theorem = {c.theorem: c for c in row.checks}
-    lang = by_theorem["Lang"]
+    # rows are nontorsion points, so their checks are the eight of
+    # SweepRow.checks, in that order
+    lang, corollary, upper, lower_sqrt, lower_const, b2, identity, square = row.checks
     return {
         "a": row.a,
         "x": row.x,
@@ -261,21 +261,22 @@ def _sweep_row_record(row) -> dict:
         "difference": _fmt(row.difference),
         "lang_bound": _fmt(lang.bound),
         "lang_margin": _fmt(lang.margin),
-        "corollary_margin": _fmt(by_theorem["Corollary"].margin),
-        "diff_upper_margin": _fmt(by_theorem["DiffUpper"].margin),
-        "diff_lower_sqrt_margin": _fmt(by_theorem["DiffLowerSqrt"].margin),
-        "diff_lower_const_margin": _fmt(by_theorem["DiffLowerConst"].margin),
-        "b2_actual": int(by_theorem["B2"].actual),
-        "b2_bound": int(by_theorem["B2"].bound),
-        "sum_identity_ok": by_theorem["SumIdentity"].passed,
-        "x2p_square_ok": by_theorem["X2PSquare"].passed,
+        "corollary_margin": _fmt(corollary.margin),
+        "diff_upper_margin": _fmt(upper.margin),
+        "diff_lower_sqrt_margin": _fmt(lower_sqrt.margin),
+        "diff_lower_const_margin": _fmt(lower_const.margin),
+        "b2_actual": int(b2.actual),
+        "b2_bound": int(b2.bound),
+        "sum_identity_ok": identity.passed,
+        "x2p_square_ok": square.passed,
         "all_pass": row.all_pass,
     }
 
 
-def _sweep_document(report: SweepReport, violations: list, with_rows: bool) -> dict:
-    """The JSON report; the stdout summary is the same without "rows"."""
-    document = {
+def _sweep_document(report: SweepReport, violations: list) -> dict:
+    """The stdout summary; the JSON report adds "rows" after
+    "skipped_non_minimal" (_write_sweep_json)."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
         "a_min": report.a_min,
@@ -285,14 +286,33 @@ def _sweep_document(report: SweepReport, violations: list, with_rows: bool) -> d
         "points_certified": len(report.rows),
         "torsion_points": report.torsion_points,
         "skipped_non_minimal": report.skipped,
-    }
-    if with_rows:
-        document["rows"] = [_sweep_row_record(r) for r in report.rows]
-    return document | {
         "min_lang_margin_by_class": {k: _fmt(v) for k, v in sorted(report.min_margins.items())},
         "violations": [list(v) for v in violations],
         "failures": report.failures,
     }
+
+
+#: a row record is a flat object, so these separators put its members one to
+#: a line, six spaces in, as json.dump(indent=2) does in a report; with no
+#: indent, encode runs in C
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n" + " " * 6, ": "))
+
+
+def _write_sweep_json(report: SweepReport, violations: list, handle) -> None:
+    """The JSON report, in the bytes of json.dump(document, handle, indent=2)
+    and a newline, with the rows streamed one at a time.
+
+    The summary around "rows" is json.dumps(indent=2) text; each row is the
+    C encoder's text of its record, its braces opened onto their own lines.
+    """
+    text = json.dumps(_sweep_document(report, violations), indent=2)
+    cut = text.index('\n  "min_lang_margin_by_class"')
+    handle.write(text[:cut] + '\n  "rows": [')
+    opening = "\n    {\n      "
+    for row in report.rows:
+        handle.write(opening + _ROW_ENCODER.encode(_sweep_row_record(row))[1:-1] + "\n    }")
+        opening = ",\n    {\n      "
+    handle.write(("\n  ]," if report.rows else "],") + text[cut:] + "\n")
 
 
 def _write_sweep_csv(report: SweepReport, handle) -> None:
@@ -325,14 +345,13 @@ def cmd_sweep(args) -> int:
                 if args.out.lower().endswith(".csv"):
                     _write_sweep_csv(report, out)
                 else:
-                    json.dump(_sweep_document(report, violations, True), out, indent=2)
-                    out.write("\n")
+                    _write_sweep_json(report, violations, out)
                 out.close()  # inside the guard: the last flush can fail too
             except OSError as exc:
                 raise AxHeightsError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
             print(f"wrote {len(report.rows)} rows to {args.out}")
         else:
-            print(json.dumps(_sweep_document(report, violations, False), indent=2))
+            print(json.dumps(_sweep_document(report, violations), indent=2))
     if violations:
         print(f"{len(violations)} bound violations!", file=sys.stderr)
     return _checks_exit(c for row in report.rows for c in row.checks)

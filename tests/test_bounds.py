@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import logging
 import math
@@ -379,7 +380,7 @@ def test_sweep_rejects_non_positive_bound_or_workers(monkeypatch, search_bound, 
         pytest.fail("sweep started work")
 
     monkeypatch.setattr(bounds, "find_points", never)
-    monkeypatch.setattr(bounds, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
     name = "search_bound" if search_bound < 1 else "workers"
     with pytest.raises(AxHeightsError, match=f"{name} must be at least 1"):
         sweep(1, 3, search_bound, workers=workers)
@@ -417,7 +418,7 @@ def fake_pool(monkeypatch):
         def map(self, fn, iterable, chunksize):
             return map(fn, iterable)
 
-    monkeypatch.setattr(bounds, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return sizes
 
 
@@ -480,6 +481,15 @@ def test_bound_checks_pickle_by_value(acceptance_sweep):
             assert type(clone) is BoundCheck and clone == check, check
 
 
+def test_sweep_rows_hold_their_checks_in_order(acceptance_sweep):
+    # the CLI's row record reads a row's checks by position
+    order = ["Lang", "Corollary", "DiffUpper", "DiffLowerSqrt", "DiffLowerConst", "B2",
+             "SumIdentity", "X2PSquare"]
+    assert acceptance_sweep.rows
+    for row in acceptance_sweep.rows:
+        assert [c.theorem for c in row.checks] == order, (row.a, row.x)
+
+
 def test_sweep_oracle_envelope(acceptance_sweep):
     # |hhat - (1/2)h(2^6 P)/4^6| = |height difference at 2^6 P| / 4^6, and
     # the two-sided difference theorem bounds that numerator by
@@ -501,8 +511,8 @@ def test_sweep_runs_serially_when_no_pool_starts(monkeypatch, caplog):
         def __init__(self, max_workers):
             raise OSError(38, "Function not implemented")
 
-    monkeypatch.setattr(bounds, "ProcessPoolExecutor", NoPool)
-    with caplog.at_level(logging.WARNING, logger=bounds.logger.name):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with caplog.at_level(logging.WARNING, logger="axheights.bounds"):
         report = sweep(-40, 40, 30, workers=2)
     assert report.rows == serial.rows
     assert report.torsion_points == serial.torsion_points

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -449,6 +450,103 @@ def test_stdout_sweep_formats_no_row(capsys, monkeypatch):
     assert list(json.loads(out).items()) == list(document.items())
 
 
+def test_json_sweep_formats_each_row_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    record = cli._sweep_row_record
+    monkeypatch.setattr(cli, "_sweep_row_record", lambda row: calls.append(row) or record(row))
+    out_path = tmp_path / "r.json"
+    code, _, _ = run(capsys, *_frozen_sweep_argv("1", out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / "sweep_m20_20_b30.json").read_bytes()
+    assert len(calls) == len(json.loads(out_path.read_text())["rows"]) > 0
+
+
+def _one_shot_document(report) -> dict:
+    """The JSON report of sweep --out built whole, each check looked up by
+    its theorem: the streamed writer must write json.dumps(indent=2) of it."""
+    fmt = cli._fmt
+    rows = []
+    for row in report.rows:
+        check = {c.theorem: c for c in row.checks}
+        rows.append({
+            "a": row.a, "x": row.x, "y": row.y,
+            "naive": fmt(row.naive), "canonical": fmt(row.canonical),
+            "difference": fmt(row.difference),
+            "lang_bound": fmt(check["Lang"].bound), "lang_margin": fmt(check["Lang"].margin),
+            "corollary_margin": fmt(check["Corollary"].margin),
+            "diff_upper_margin": fmt(check["DiffUpper"].margin),
+            "diff_lower_sqrt_margin": fmt(check["DiffLowerSqrt"].margin),
+            "diff_lower_const_margin": fmt(check["DiffLowerConst"].margin),
+            "b2_actual": int(check["B2"].actual), "b2_bound": int(check["B2"].bound),
+            "sum_identity_ok": check["SumIdentity"].passed,
+            "x2p_square_ok": check["X2PSquare"].passed,
+            "all_pass": all(c.passed for c in row.checks),
+        })
+    return {
+        "schema_version": 1, "command": "sweep",
+        "a_min": report.a_min, "a_max": report.a_max, "search_bound": report.search_bound,
+        "curves_scanned": report.curves_scanned, "points_certified": len(report.rows),
+        "torsion_points": report.torsion_points, "skipped_non_minimal": report.skipped,
+        "rows": rows,
+        "min_lang_margin_by_class": {k: fmt(v) for k, v in sorted(report.min_margins.items())},
+        "violations": [list(v) for v in report.violations],
+        "failures": report.failures,
+    }
+
+
+@pytest.fixture(scope="module")
+def frozen_report():
+    return bounds.sweep(-20, 20, 30, workers=1)
+
+
+def _edited(report, edit: str):
+    first = report.rows[0]
+    if edit == "one row":
+        return dataclasses.replace(report, rows=[first])
+    if edit == "failures":
+        failures = ["a=7: ValueError('a \"quote\", a \\\\ backslash, café, ∞, 𝔽')", "a=9: 'é'"]
+        return dataclasses.replace(report, failures=failures)
+    if edit == "violation":
+        failed = dataclasses.replace(first.checks[1], status="fail")
+        row = dataclasses.replace(first, checks=(first.checks[0], failed, *first.checks[2:]))
+        return dataclasses.replace(report, rows=[row, *report.rows[1:]])
+    # a hand-built row: floats no sweep gives, and strings that need escapes
+    assert edit == "hand-built"
+    odd = [math.nan, math.inf, -math.inf]
+    checks = tuple(
+        dataclasses.replace(c, bound=odd[i % 3], margin=odd[(i + 1) % 3])
+        if c.theorem not in ("B2", "SumIdentity", "X2PSquare") else c
+        for i, c in enumerate(first.checks)
+    )
+    row = dataclasses.replace(first, x='1/2 "é" \\', naive=math.nan, canonical=math.inf,
+                              difference=-math.inf, checks=checks)
+    return dataclasses.replace(report, rows=[row])
+
+
+@pytest.mark.parametrize("edit", [None, "one row", "failures", "violation", "hand-built"])
+def test_streamed_json_is_the_one_shot_dump(frozen_report, edit):
+    report = frozen_report if edit is None else _edited(frozen_report, edit)
+    handle = io.StringIO()
+    cli._write_sweep_json(report, report.violations, handle)
+    document = _one_shot_document(report)
+    assert handle.getvalue() == json.dumps(document, indent=2) + "\n"
+    if edit == "violation":
+        assert document["violations"] and not document["rows"][0]["all_pass"]
+    if edit == "hand-built":
+        assert all(word in handle.getvalue() for word in ("NaN", "-Infinity", "\\u00e9"))
+
+
+def test_streamed_json_of_skipped_curves_only(tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    code, _, _ = run(capsys, "sweep", "--amin", "16", "--amax", "16", "--search-bound", "30",
+                     "--workers", "1", "--out", str(out_path))
+    assert code == 0
+    report = bounds.sweep(16, 16, 30, workers=1)
+    assert report.rows == [] and report.skipped == [16]
+    expected = json.dumps(_one_shot_document(report), indent=2) + "\n"
+    assert out_path.read_text(encoding="utf-8") == expected
+
+
 @pytest.mark.parametrize(
     "workers, suffix", [("1", "json"), ("2", "json"), ("1", "csv")]
 )
@@ -585,15 +683,59 @@ def test_closed_stdout_exits_141(argv):
     assert all(line.startswith("timing:") for line in proc.stderr.splitlines()), proc.stderr
 
 
+_COLD_START = """
+import json
+import runpy
+import sys
+
+before = set(sys.modules)
+from axheights import Curve, affine, canonical_height, certify_point, limit_oracle, sweep
+
+curve, point = Curve(3), affine(1, 2)
+certify_point(curve, point)
+canonical_height(curve, point)
+limit_oracle(curve, point, 6)
+sweep(-3, 3, 10, workers=1)
+sys.argv = ["axheights", "height", "--a", "3", "--x", "1", "--y", "2", "--json"]
+try:
+    runpy.run_module("axheights", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+loaded = [m for m in ("concurrent.futures", "multiprocessing", "logging")
+          if m in sys.modules and m not in before]
+
+import multiprocessing.process
+
+started = []
+start = multiprocessing.process.BaseProcess.start
+multiprocessing.process.BaseProcess.start = lambda self: started.append(self) or start(self)
+serial = sweep(-20, 20, 10, workers=1)
+pooled = sweep(-20, 20, 10, workers=2)
+print(json.dumps({"exit": code, "loaded": loaded, "processes": len(started),
+                  "same": pooled == serial, "rows": len(pooled.rows)}))
+"""
+
+
+def test_cold_start_skips_the_pool_and_logging():
+    # a process that starts no pool imports neither the pool's modules nor
+    # logging; pytest loads logging itself, so this runs in a fresh
+    # interpreter, and the 5 chunks of a = -20..20 still start a real pool
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == 0 and result["loaded"] == []
+    assert result["processes"] >= 1 and result["same"] and result["rows"] > 0
+
+
 def _acceptance_digests(report) -> dict[str, str]:
     """sha256 of the JSON and CSV bytes that sweep --out writes for report."""
-    csv_text = io.StringIO()
-    cli._write_sweep_csv(report, csv_text)
-    texts = {
-        "json": json.dumps(cli._sweep_document(report, report.violations, True), indent=2) + "\n",
-        "csv": csv_text.getvalue(),
-    }
-    return {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in texts.items()}
+    texts = {"json": io.StringIO(), "csv": io.StringIO()}
+    cli._write_sweep_json(report, report.violations, texts["json"])
+    cli._write_sweep_csv(report, texts["csv"])
+    return {k: hashlib.sha256(v.getvalue().encode("utf-8")).hexdigest() for k, v in texts.items()}
 
 
 def test_acceptance_sweep_bytes_frozen(acceptance_sweep):
