@@ -2,8 +2,12 @@
 
 Everything works on Python ints and ``fractions.Fraction``, which already
 provide arbitrary precision and lowest-terms normalisation with a positive
-denominator.  Factoring is trial division over a cached sieve followed by
-Brent's variant of Pollard rho under an explicit effort budget; when the
+denominator.  Factoring first trial-divides by the sieved primes below
+``TRIAL_BOUND`` in runs of 64: one gcd with a run's product, built on first
+use and kept, skips a run that shares no factor with the cofactor, and the
+search stops at the first run whose least prime, squared, exceeds the
+cofactor, which is then 1 or a prime.  A cofactor left after every run goes
+to Brent's variant of Pollard rho under an explicit effort budget; when the
 budget runs out we raise instead of guessing.
 """
 
@@ -33,6 +37,16 @@ def small_primes() -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
     return tuple(itertools.compress(range(TRIAL_BOUND + 1), sieve))
+
+
+#: Trial division tests this many consecutive primes with one gcd.
+_RUN = 64
+
+
+@cache
+def _run_product(index: int) -> int:
+    """The product of the trial primes of run ``index``."""
+    return math.prod(small_primes()[_RUN * index : _RUN * (index + 1)])
 
 
 def is_prime(n: int) -> bool:
@@ -106,22 +120,34 @@ def factorize(n: int, budget: int = RHO_BUDGET) -> dict[int, int]:
     Raises ZeroInput for n = 0 and FactorizationBudgetExceeded when the
     cofactor resists the configured effort.
     """
-    return dict(_factorize_cached(n, budget))
+    return dict(_factorize_cached(abs(n), budget))
 
 
 @lru_cache(maxsize=65536)
 def _factorize_cached(n: int, budget: int) -> tuple[tuple[int, int], ...]:
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    n = abs(n)
+    n = abs(n)  # factorize passes |n|; a direct call on the unwrapped function may not
     out: dict[int, int] = {}
-    for p in small_primes():
-        if p * p > n:
+    primes = small_primes()
+    least = TRIAL_BOUND  # every prime below least is divided out
+    for start in range(0, len(primes), _RUN):
+        if primes[start] ** 2 > n:
+            least = primes[start]
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
+        common = math.gcd(n, _run_product(start // _RUN))
+        if common == 1:
+            continue
+        for p in primes[start : start + _RUN]:
+            if common % p == 0:
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+    if n < least * least:
+        # no prime below least divides n, so n is 1 or a prime
+        if n > 1:
+            out[n] = 1
+    else:
         shared = [budget]
         stack = [n]
         while stack:

@@ -326,13 +326,17 @@ def _soluble_at_odd(b1: int, b2: int, p: int, k: int) -> bool:
     return _is_residue(u2, 2, p)
 
 
+#: The squares mod 256, and M^4 mod 256 for M odd and for M even.
+_SQUARES_256 = frozenset(i * i % 256 for i in range(128))
+_ODD_FOURTHS_256, _EVEN_FOURTHS_256 = range(1, 256, 16), (0, 16)
+
+
 @functools.lru_cache(maxsize=None)  # 16 values of r1 times 48 of r2 at most
 def _soluble_mod_256(r1: int, r2: int) -> bool:
     """Whether N^2 = r1 M^4 + r2 e^4 mod 256 has a solution with M or e odd."""
-    squares = {i * i % 256 for i in range(128)}
-    odd, even = range(1, 256, 16), (0, 16)  # M^4 mod 256 for M odd, M even
+    odd, even = _ODD_FOURTHS_256, _EVEN_FOURTHS_256
     return any(
-        (r1 * f + r2 * g) % 256 in squares
+        (r1 * f + r2 * g) % 256 in _SQUARES_256
         for fs, gs in ((odd, odd), (odd, even), (even, odd))
         for f in fs
         for g in gs

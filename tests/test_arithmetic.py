@@ -20,14 +20,21 @@ from axheights.arithmetic import (
 )
 from axheights.curve import Curve
 from axheights.errors import (
+    AxHeightsError,
     FactorizationBudgetExceeded,
     NotOddPrime,
     NotPrime,
     ZeroInput,
 )
+from axheights.families import _LANG_NEG_ROWS, FAMILIES
 from axheights.local_heights import bad_primes
 
-from reference_arithmetic import is_rational_square, ord_p, squarefree_decompose
+from reference_arithmetic import (
+    is_rational_square,
+    ord_p,
+    squarefree_decompose,
+    trial_factorize,
+)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +213,99 @@ def test_factorize_backtracks_when_one_batch_meets_both_factors():
     arithmetic._factorize_cached.cache_clear()
     assert 100003 > TRIAL_BOUND and is_prime(100003) and is_prime(100057)
     assert factorize(10006000171) == {100003: 1, 100057: 1}
+
+
+def _assert_matches_trial_division(n):
+    # the primes below TRIAL_BOUND and their exponents as the reference finds
+    # them; the rest are primes above it whose product is its cofactor
+    found, rest = trial_factorize(n)
+    fac = factorize(n)
+    assert {p: fac[p] for p in found if p in fac} == found, n
+    large = {p: e for p, e in fac.items() if p not in found}
+    assert all(p > TRIAL_BOUND and is_prime(p) for p in large), n
+    assert math.prod(p**e for p, e in large.items()) == rest, n
+
+
+def _run_boundary_inputs():
+    """p*q, p^2 and q^2 for the last prime p of each run of 64 trial primes
+    and the first prime q of the next (311 and 313 first), then 99,991^2."""
+    primes = small_primes()
+    out = [99991**2]
+    for start in range(64, len(primes), 64):
+        p, q = primes[start - 1], primes[start]
+        out += [p * q, p * p, q * q]
+    return out
+
+
+def _extremal_cell_a():
+    """The distinct a of the benchmark's extremal cells: every lang-pos row
+    and diff family on its four-point parameter grid, every lang-neg index
+    up to recurrence index 30 and lang-neg-4 for n <= 12; cells with no
+    rational half or a degenerate index build no a."""
+    cells = [(f"lang-pos-{r}", a1) for r in range(1, 16) for a1 in (205, 865, 3651, 15399)]
+    cells += [(f"diff-{kind}", a1) for kind in ("lower-pos", "lower-neg", "upper")
+              for a1 in (42, 749, 13335, 237137)]
+    cells += [(f"lang-neg-{r}", n) for r, (seq, step, offset, _, _) in _LANG_NEG_ROWS.items()
+              if seq == "c" for n in range((30 - offset) // step + 1)]
+    cells += [("lang-neg-4", n) for n in range(13)]
+    assert len(cells) == 98
+    a_values = set()
+    for name, param in cells:
+        try:
+            a_values.add(FAMILIES[name](param).a)
+        except AxHeightsError:
+            continue
+    return sorted(a_values)
+
+
+def test_factorize_matches_trial_division_below_20000():
+    for n in range(1, 20001):
+        found, rest = trial_factorize(n)
+        assert rest == 1 and factorize(n) == found, n
+
+
+def test_factorize_matches_trial_division_across_run_boundaries():
+    inputs = _run_boundary_inputs()
+    assert 311 * 313 in inputs and len(inputs) == 1 + 3 * 149
+    for n in inputs + [99991 * 100003, 100003 * 100057]:
+        _assert_matches_trial_division(n)
+
+
+def test_factorize_matches_trial_division_on_extremal_cells():
+    a_values = _extremal_cell_a()
+    assert len(a_values) == 78 and max(a_values, key=abs).bit_length() > 100
+    for a in a_values:
+        _assert_matches_trial_division(a)
+
+
+def test_factorize_proves_small_cofactors_prime_without_a_primality_test(monkeypatch):
+    # every cofactor below TRIAL_BOUND^2 = 10^10 is 1 or a prime once the
+    # trial primes are out, so only a larger one reaches is_prime and rho
+    calls = {"is_prime": 0, "rho": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(arithmetic, "is_prime", counted("is_prime", arithmetic.is_prime))
+    monkeypatch.setattr(arithmetic, "_pollard_brent", counted("rho", arithmetic._pollard_brent))
+    arithmetic._factorize_cached.cache_clear()
+    for n in [*range(1, 20001), *_run_boundary_inputs(), 99991 * 100003]:
+        assert n < 10**10
+        factorize(n)
+    assert calls == {"is_prime": 0, "rho": 0}
+    assert factorize(100003 * 100057) == {100003: 1, 100057: 1}
+    assert calls["is_prime"] > 0 and calls["rho"] > 0
+
+
+def test_factorize_shares_one_memo_entry_across_signs():
+    arithmetic._factorize_cached.cache_clear()
+    n = 2**5 * 3 * 100003 * 100057
+    assert factorize(n) == factorize(-n)
+    info = arithmetic._factorize_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_factorize_rejects_zero():

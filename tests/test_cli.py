@@ -730,6 +730,30 @@ def test_cold_start_skips_the_pool_and_logging():
     assert result["processes"] >= 1 and result["same"] and result["rows"] > 0
 
 
+_WARM_UP_AND_SWEEP = """
+from axheights import Curve, affine, certify_point, find_points, sweep
+from axheights.arithmetic import _run_product, small_primes
+
+small_primes()
+certify_point(Curve(-2), affine(-1, 1))
+find_points(Curve(-2), 10)
+sweep(-20, 20, 10, workers=1)
+print(_run_product.cache_info().currsize)
+"""
+
+
+def test_cold_start_builds_at_most_the_first_trial_run():
+    # the products of the runs of trial primes are built only when a
+    # factorisation reaches them: the benchmark's warm-up and a small sweep
+    # factor nothing beyond the first run (primes up to 311)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _WARM_UP_AND_SWEEP], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) <= 1
+
+
 def _acceptance_digests(report) -> dict[str, str]:
     """sha256 of the JSON and CSV bytes that sweep --out writes for report."""
     texts = {"json": io.StringIO(), "csv": io.StringIO()}

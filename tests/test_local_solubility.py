@@ -127,6 +127,21 @@ def test_mod_256_test_is_sound_and_exact_at_2():
     assert insoluble > 1000
 
 
+def test_mod_256_test_matches_its_definition_on_every_key():
+    # the keys _soluble_at_2 forms: b mod 2^(ord_2 b + 4), capped at 256,
+    # for every nonzero b; each pair against N^2 = r1 M^4 + r2 e^4 mod 256
+    # searched over every M, e mod 256 with one of them odd and every N
+    keys = {b % min(16 * (b & -b), 256) for b in range(-1024, 1025) if b}
+    assert len(keys) == 48
+    fourths = {(pow(m, 4, 256), pow(e, 4, 256)) for m in range(256) for e in range(256)
+               if (m | e) & 1}
+    squares = {n * n % 256 for n in range(256)}
+    for r1 in keys:
+        for r2 in keys:
+            exact = any((r1 * f + r2 * g) % 256 in squares for f, g in fourths)
+            assert bounds._soluble_mod_256(r1, r2) == exact, (r1, r2)
+
+
 @pytest.mark.parametrize("a", [48, -48, 162, -162, 1250, -1250, 2 * 3**4 * 5**4])
 def test_find_points_on_non_minimal_a_matches_brute_force(a):
     # ord_p a >= 4 at some prime: that odd prime is not tested, 2 still is
