@@ -36,6 +36,7 @@ from .heights import (
     _height_on_minimal,
     _sum_identity,
 )
+from .local_heights import _PER_A_CACHE
 
 LOG2 = math.log(2.0)
 
@@ -123,9 +124,8 @@ def _exact(theorem: str, ok: bool, bound: float = 0.0, actual: float = 0.0,
                       note=note)
 
 
-#: curves whose bounds the three per-a caches below keep; _certify reads them
-#: for each of a curve's points, and a sweep visits the curves in turn
-_PER_A_CACHE = 256
+# the three per-a caches below keep _PER_A_CACHE curves, as local_heights'
+# do; _certify reads them for each of a curve's points
 
 
 @functools.lru_cache(maxsize=_PER_A_CACHE)

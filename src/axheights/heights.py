@@ -39,11 +39,12 @@ from .errors import DepthExceeded, InfinityPoint
 from .local_heights import (
     ArchHeightValue,
     NonArchLocalHeight,
+    _bad_places,
     _lambda_inf,
-    _lambda_p,
     _local_class,
     _local_terms,
-    bad_primes,
+    _place,
+    _Place,
 )
 
 MAX_DOUBLINGS = 10
@@ -112,14 +113,22 @@ def height_primes(curve: Curve, point: Point) -> tuple[list[int], int]:
     most _ITEMIZE_LIMIT, those of that part (rest = 1); each run is sorted.
     Off 2a, lambda_p = (1/2) ord_p(den x) log p, so rest adds (1/2) log(rest).
     """
-    primes = bad_primes(curve)
-    rest = point.x.denominator
-    for p in primes:
+    places, rest = _height_places(curve.a, point.x.denominator)
+    return [place.prime for place in places], rest
+
+
+def _height_places(a: int, d: int) -> tuple[tuple[_Place, ...], int]:
+    """height_primes as the places of local_heights, for E_a and den x = d:
+    those of 2a from the per-curve cache, then those of the itemised part."""
+    places = _bad_places(a)
+    rest = d
+    for place in places:
+        p = place.prime
         while rest % p == 0:
             rest //= p
     if 1 < rest <= _ITEMIZE_LIMIT:
-        return primes + sorted(factorize(rest)), 1
-    return primes, rest
+        return places + tuple(_place(a, p) for p in sorted(factorize(rest))), 1
+    return places, rest
 
 
 def canonical_height(curve: Curve, point: Point) -> HeightBreakdown:
@@ -151,18 +160,23 @@ def _height_on_minimal(
     minimal, q, _ = _to_minimal(curve, point)
     a, m, d = minimal.a, q.x.numerator, q.x.denominator
     arch = _lambda_inf(a, m, d)
-    primes, rest = height_primes(minimal, q)
-    locals_ = tuple(_lambda_p(a, m, d, p) for p in primes)
+    places, rest = _height_places(a, d)
     bulk_log = 0.5 * math.log(rest)  # 0.0 when everything is itemised
-    contributions = [arch.value, bulk_log] + [t.value for t in locals_]
+    # lambda_p = coefficient * log p, bit for bit as NonArchLocalHeight.value
+    locals_ = []
+    contributions = [arch.value, bulk_log]
+    for p, two, cls, log_p, _ in places:
+        coefficient, correction, tag, _, value = _local_terms(*_local_class(two, cls, m, d, p))
+        locals_.append(NonArchLocalHeight(p, coefficient, correction, tag))
+        contributions.append(value * log_p)
     canonical = math.fsum(contributions)
     # one ulp per floating log evaluation, plus the series tail
-    error = arch.tail_bound + _EPS * sum(abs(c) for c in contributions) + 4 * _EPS * abs(canonical)
+    error = arch.tail_bound + _EPS * sum(map(abs, contributions)) + 4 * _EPS * abs(canonical)
     return HeightBreakdown(
         naive=naive,
         canonical=canonical,
         archimedean=arch,
-        nonarch_terms=locals_,
+        nonarch_terms=tuple(locals_),
         difference=naive / 2.0 - canonical,
         error_bound=error,
         bulk_denominator_log=bulk_log,
@@ -247,6 +261,8 @@ def _sum_identity(curve: Curve, m: int, d: int) -> tuple[bool, dict[int, Fractio
     lambda_p(2P) from the memo of local_heights._local_terms, and
     12 ord_p(den) + 2 ord_p(disc) - 12 [indicator], where ord_p(den) is
     the memo key's max(0, -ord_p x(2P)), as den > 0 and gcd(num, den) = 1.
+    The primes, their row keys and 2 ord_p(disc) are the curve's places,
+    read once per curve (local_heights._bad_places).
     A Fraction is built only for a nonzero residue; the zeros share one.
     """
     a = curve.a
@@ -256,12 +272,11 @@ def _sum_identity(curve: Curve, m: int, d: int) -> tuple[bool, dict[int, Fractio
     # x(2P) != 0: only a point of order 4 doubles to (0, 0)
     indicator = a % 16 == 4 and ord_int(num, 2) > 0
     residues: dict[int, Fraction] = {}
-    disc = curve.discriminant
     ok = True
-    for p in bad_primes(curve):
-        key = _local_class(a, num, den, p)
+    for p, two, cls, _, disc_24ths in _bad_places(a):
+        key = _local_class(two, cls, num, den, p)
         lhs = _local_terms(*key)[3]
-        rhs = 12 * key[2] + 2 * ord_int(disc, p)  # key[2] = ord_p(den)
+        rhs = 12 * key[2] + disc_24ths  # key[2] = ord_p(den)
         if p == 2 and indicator:
             rhs -= 12
         if lhs == rhs:

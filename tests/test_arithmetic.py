@@ -20,16 +20,16 @@ from axheights.arithmetic import (
 )
 from axheights.curve import Curve
 from axheights.errors import (
-    AxHeightsError,
     FactorizationBudgetExceeded,
     NotOddPrime,
     NotPrime,
     ZeroInput,
 )
-from axheights.families import _LANG_NEG_ROWS, FAMILIES
 from axheights.local_heights import bad_primes
 
 from reference_arithmetic import (
+    extremal_candidates,
+    extremal_cells,
     is_rational_square,
     ord_p,
     squarefree_decompose,
@@ -238,24 +238,9 @@ def _run_boundary_inputs():
 
 
 def _extremal_cell_a():
-    """The distinct a of the benchmark's extremal cells: every lang-pos row
-    and diff family on its four-point parameter grid, every lang-neg index
-    up to recurrence index 30 and lang-neg-4 for n <= 12; cells with no
-    rational half or a degenerate index build no a."""
-    cells = [(f"lang-pos-{r}", a1) for r in range(1, 16) for a1 in (205, 865, 3651, 15399)]
-    cells += [(f"diff-{kind}", a1) for kind in ("lower-pos", "lower-neg", "upper")
-              for a1 in (42, 749, 13335, 237137)]
-    cells += [(f"lang-neg-{r}", n) for r, (seq, step, offset, _, _) in _LANG_NEG_ROWS.items()
-              if seq == "c" for n in range((30 - offset) // step + 1)]
-    cells += [("lang-neg-4", n) for n in range(13)]
-    assert len(cells) == 98
-    a_values = set()
-    for name, param in cells:
-        try:
-            a_values.add(FAMILIES[name](param).a)
-        except AxHeightsError:
-            continue
-    return sorted(a_values)
+    """The distinct a of the benchmark's extremal cells."""
+    assert len(extremal_cells()) == 98
+    return sorted({cand.a for cand in extremal_candidates()})
 
 
 def test_factorize_matches_trial_division_below_20000():

@@ -18,10 +18,11 @@ from mpmath import mp, mpf
 
 from axheights.arithmetic import isqrt_exact, log_ratio
 from axheights.curve import _BRACKET_BITS, Curve, Point, affine, x_after_doubling
-from axheights.errors import AxHeightsError
 from axheights.families import FAMILIES, family_diff
 from axheights.heights import _height_on_minimal, height_primes
 from axheights.local_heights import lambda_archimedean
+
+from reference_arithmetic import family_candidates
 
 EPS = sys.float_info.epsilon
 
@@ -91,24 +92,9 @@ def test_error_bound_holds_on_the_acceptance_sweep(acceptance_sweep):
 _KNOWN_MISSES = {("lang-neg-3", 2)}
 
 
-def _family_candidates():
-    """The candidate of each family at parameters 0..3, where it exists and
-    its |a| is below 10^60 (factoring 2a above that can take seconds)."""
-    out = []
-    for name, build in FAMILIES.items():
-        for param in range(4):
-            try:
-                candidate = build(param)
-            except AxHeightsError:  # a failed row, no rational half, param 0
-                continue
-            if abs(candidate.a) < 10**60:
-                out.append(candidate)
-    return out
-
-
 def test_error_bound_holds_on_family_points():
     candidates = [
-        c for c in _family_candidates() if (c.family, c.parameter) not in _KNOWN_MISSES
+        c for c in family_candidates() if (c.family, c.parameter) not in _KNOWN_MISSES
     ]
     assert len(candidates) > 60
     assert _misses([(Curve(c.a), c.point) for c in candidates]) == []

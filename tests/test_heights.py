@@ -5,9 +5,9 @@ from functools import cache
 
 import pytest
 
-from axheights import arithmetic, bounds, curve, heights
+from axheights import arithmetic, bounds, curve, heights, local_heights
 from axheights.arithmetic import isqrt_exact, ord_int
-from axheights.curve import INFINITY, Curve, _doubling_gcd, affine, x_after_doubling
+from axheights.curve import INFINITY, Curve, Point, _doubling_gcd, affine, x_after_doubling
 from axheights.errors import (
     AxHeightsError,
     DepthExceeded,
@@ -27,6 +27,8 @@ from axheights.heights import (
     nonarch_sum_identity,
 )
 from axheights.local_heights import _lambda_p, bad_primes, lambda_archimedean, lambda_nonarch
+
+from reference_arithmetic import extremal_candidates, family_candidates
 
 
 @pytest.mark.parametrize(
@@ -513,6 +515,8 @@ def factored(monkeypatch):
         rho.clear()
         cached.cache_clear()
         arithmetic.fourth_power_free_part.cache_clear()
+        local_heights._bad_places.cache_clear()
+        local_heights._series_constants.cache_clear()
         f()
         return numbers.copy(), len(rho)
 
@@ -548,3 +552,53 @@ def test_public_local_heights_match_the_breakdown(a, pt):
         assert lambda_archimedean(minimal, q) == bd.archimedean
         primes, _ = height_primes(minimal, q)
         assert tuple(lambda_nonarch(minimal, q, p) for p in primes) == bd.nonarch_terms
+
+
+def test_height_primes_and_bad_primes_return_fresh_lists():
+    # both read the per-curve places, which a caller must not be able to
+    # change through the list it was given
+    curve, point = Curve(-17), affine(-1, 4)
+    q = curve.multiply(5, point)
+    for f, args in ((height_primes, (curve, q)), (lambda c: (bad_primes(c), 1), (curve,))):
+        first, rest = f(*args)
+        expected = list(first)
+        first.append(10**9 + 7)
+        first.reverse()
+        assert f(*args) == (expected, rest)
+
+
+def test_per_curve_caches_are_bounded():
+    for cache in (local_heights._bad_places, local_heights._series_constants):
+        assert cache.cache_info().maxsize == local_heights._PER_A_CACHE
+    assert bounds.diff_bounds.cache_info().maxsize == local_heights._PER_A_CACHE
+
+
+def _isogeny_gap(a: int, point) -> float:
+    """|hhat(phi P) - 2 hhat(P)| over err(phi P) + 2 err(P), for the
+    2-isogeny phi: E_a -> E_{-4a}, phi(x, y) = (y^2/x^2, y(a - x^2)/x^2)."""
+    x, y = point.x, point.y
+    image = Point(y * y / (x * x), y * (a - x * x) / (x * x))
+    here, there = canonical_height(Curve(a), point), canonical_height(Curve(-4 * a), image)
+    return abs(there.canonical - 2 * here.canonical) / (there.error_bound + 2 * here.error_bound)
+
+
+#: the image of lang-neg-6 at n = 0 lies on a curve with -4a > 0 and x close
+#: to sqrt(-4a), where the a > 0 series rounds w past 1 and raises
+_ISOGENY_ESCAPES = {("lang-neg-6", 0)}
+
+
+def test_two_isogeny_doubles_the_height(acceptance_sweep):
+    # a cross-check independent of the decomposition: hhat(phi P) = 2 hhat(P)
+    # on E_{-4a}, a curve with other bad places, reductions and series, within
+    # the two error bounds; the worst gap is 0.48 of that tolerance on the
+    # acceptance points and 0.58 on the family candidates
+    gaps = [_isogeny_gap(r.a, Point(Fraction(r.x), Fraction(r.y))) for r in acceptance_sweep.rows]
+    assert len(gaps) == 1164 and max(gaps) <= 1.0
+    candidates = family_candidates() + extremal_candidates()
+    assert len(candidates) == 68 + 78
+    for cand in candidates:
+        if (cand.family, cand.parameter) in _ISOGENY_ESCAPES:
+            with pytest.raises(ValueError):
+                _isogeny_gap(cand.a, cand.point)
+        else:
+            assert _isogeny_gap(cand.a, cand.point) <= 1.0, (cand.family, cand.parameter)

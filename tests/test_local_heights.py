@@ -29,7 +29,7 @@ from axheights.local_heights import (
     z_value,
 )
 
-from reference_arithmetic import ord_p
+from reference_arithmetic import MULTIPLES_K, ord_p
 
 LOG2 = math.log(2.0)
 
@@ -368,46 +368,35 @@ def test_lambda_p_builds_one_fraction():
     assert seen == tags | {"otherwise"}
 
 
-def test_lambda_inf_w_escape_stays_at_its_step(monkeypatch):
+def test_lambda_inf_w_escape_stays_at_its_step(counted_terms):
     # on lang-pos-7 at a1 = 10^6 rounding takes w to 1.0000000000000002 in
     # one step; w then turns negative and grows until z(w) < 0 and log z
     # raises ValueError (benchmarks/selftest.py asserts that failure).  A
     # plain re-run that computes z(w) afresh at each step pins where it
-    # happens: the series evaluates z once per step and fails at the same w
+    # happens: the series takes one term per step and fails at the term of
+    # the same step, before any stop
     cand = FAMILIES["lang-pos-7"](10**6)
     a, m, d = cand.a, cand.point.x.numerator, cand.point.x.denominator
-    w = _translated_start(a, m, d)[1]
+    w = _translated_start(math.log(a), m, d)[1]
     steps = 0
     while _z_pos(w) > 0:
         v = 1.0 - w
         w = 4.0 * w * v * (w * w + v * v) / _z_pos(w)
         steps += 1
     assert steps == 26
-    seen = []
-
-    def counted(w):
-        seen.append(w)
-        return _z_pos(w)
-
-    monkeypatch.setattr(local_heights, "_z_pos", counted)
+    counted = counted_terms("_POS_TERMS")
     with pytest.raises(ValueError):
         _lambda_inf(a, m, d)
-    assert len(seen) == steps + 1 and seen[-1] == w
-
-
-#: multiples kP of P = (-1, 4) on a = -17 on both sides of the bracket
-#: crossover (x(21P) is the first past it), up to 300P (45,817 digits); 256P
-#: is 2^8 P
-_MULTIPLES_K = (*range(1, 41), 50, 64, 89, 100, 128, 150, 200, 256, 300)
+    assert counted.taken == steps
 
 
 def test_canonical_height_matches_the_exact_route(monkeypatch):
     # lambda_inf reads its four logs from brackets past the crossover; with
     # the crossover out of reach it builds the integers, as below it
     c, base = Curve(-17), affine(-1, 4)
-    points = [c.multiply(k, base) for k in _MULTIPLES_K]
+    points = [c.multiply(k, base) for k in MULTIPLES_K]
     sizes = [max(q.x.numerator.bit_length(), q.x.denominator.bit_length()) for q in points]
-    assert min(sizes) < _BRACKET_BITS <= sizes[_MULTIPLES_K.index(21)]
+    assert min(sizes) < _BRACKET_BITS <= sizes[MULTIPLES_K.index(21)]
     got = [canonical_height(c, q).canonical.hex() for q in points]
     monkeypatch.setattr(curve, "_BRACKET_BITS", math.inf)
     expected = [canonical_height(c, q).canonical.hex() for q in points]

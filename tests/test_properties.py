@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from axheights import curve
+from axheights import curve, heights
 from axheights.arithmetic import is_fourth_power_free, ord_int
 from axheights.bounds import find_points
 from axheights.curve import (
@@ -38,7 +38,16 @@ from axheights.curve import (
 )
 from axheights.errors import ZeroInput
 from axheights.heights import canonical_height
-from axheights.local_heights import DEFAULT_TERMS, _lambda_inf, _step_neg, _z_pos
+from axheights.local_heights import DEFAULT_TERMS, _lambda_inf
+
+from reference_arithmetic import (
+    MULTIPLES_K,
+    extremal_candidates,
+    series_inputs,
+    series_mismatches,
+    step_neg,
+    z_pos,
+)
 
 #: the nontorsion points of find_points(Curve(a), 12) for each
 #: fourth-power-free |a| <= 60 that has one
@@ -306,7 +315,7 @@ def _log_abs(x: Fraction) -> float:
 def _step_pos(w: float) -> float:
     """One a > 0 step of the reference, which computes z(w) afresh."""
     v = 1.0 - w
-    return 4.0 * w * v * (w * w + v * v) / _z_pos(w)
+    return 4.0 * w * v * (w * w + v * v) / z_pos(w)
 
 
 def fraction_lambda_inf(a: int, x: Fraction) -> float:
@@ -324,7 +333,7 @@ def fraction_lambda_inf(a: int, x: Fraction) -> float:
             if t == 0.0:
                 break
             series += weight * math.log1p(t * t)
-            t = _step_neg(t)
+            t = step_neg(t)
     else:
         if x == 0:
             log_u0, w = 0.0, 1.0
@@ -335,14 +344,14 @@ def fraction_lambda_inf(a: int, x: Fraction) -> float:
             else:
                 q = math.exp(lq)
                 log_u0, w = math.log1p(q), 1.0 / (1.0 + q)
-        first = 0.25 * math.log(a) + 0.5 * log_u0 + 0.125 * math.log(_z_pos(w))
+        first = 0.25 * math.log(a) + 0.5 * log_u0 + 0.125 * math.log(z_pos(w))
         weight = 0.125
         for _ in range(DEFAULT_TERMS):
             weight *= 0.25
             w = _step_pos(w)
             if w == 0.0:
                 break
-            series += weight * math.log(_z_pos(w))
+            series += weight * math.log(z_pos(w))
     return first + series - _log_abs(Fraction(-64 * a**3)) / 12.0
 
 
@@ -403,6 +412,52 @@ def test_doubling_logs_match_the_built_integers(a, m, d, negative):
     if a < 0 or m >= 0:  # no real point has x < 0 on a > 0
         value = _lambda_inf(a, m, d).value
         assert value.hex() == fraction_lambda_inf(a, Fraction(m, d)).hex(), (a, m, d)
+
+
+@PROPERTY
+@given(NONZERO_A, SIZES, st.one_of(st.just(1), SIZES), st.booleans())
+def test_lambda_inf_matches_the_40_term_sum(a, m, d, negative):
+    # the series stops once no term left can change its float sum, so its
+    # value, or the exception it raises, is that of all 40 terms, bit for
+    # bit: both signs of a, m and d on both sides of the bracket crossover
+    g = math.gcd(m, d)
+    m, d = (-m if negative and a < 0 else m) // g, d // g
+    assume(a > 0 or m * (m * m + a * d * d) != 0)
+    assert series_mismatches([(a, m, d)]) == []
+
+
+def test_lambda_inf_matches_the_40_term_sum_on_seeded_inputs():
+    # seeded random inputs, the points of every extremal cell and of
+    # lang-pos-7 at a1 = 10^6, whose a > 0 iterate w leaves [0, 1] by
+    # rounding, and kP of P = (-1, 4) on a = -17 for 49 k up to 300 (the
+    # script mode of reference_arithmetic runs every k <= 300)
+    inputs = series_inputs(2035, 300, MULTIPLES_K)
+    assert len(inputs) == 300 + 78 + 1 + len(MULTIPLES_K)
+    assert series_mismatches(inputs) == []
+
+
+def test_series_stops_early_on_the_extremal_points(counted_terms):
+    # the series stops no earlier than term 29, where the first stop can
+    # come; on the extremal candidates, whose values the test above checks
+    # against all 40 terms, both loops stop before their last term (all 18
+    # a < 0, and 9 of 60 a > 0: the lang-pos points have x close to
+    # sqrt(a), so w goes from about 1/2 to about 1 and then to about 1e-9
+    # in two steps, and the terms after that stay too small for the series
+    # to reach a stop line in time)
+    cases = []
+    for cand in extremal_candidates():
+        minimal, q, _ = heights._to_minimal(Curve(cand.a), cand.point)
+        cases.append((minimal.a, q.x.numerator, q.x.denominator))
+    neg, pos = counted_terms("_NEG_TERMS"), counted_terms("_POS_TERMS")
+    taken = {}
+    for a, m, d in cases:
+        counted = neg if a < 0 else pos
+        counted.taken = 0
+        _lambda_inf(a, m, d)
+        taken[a] = counted.taken
+    assert min(taken.values()) >= 29, taken
+    stopped = [a for a, k in taken.items() if k < DEFAULT_TERMS]
+    assert min(stopped) < 0 < max(stopped), taken
 
 
 def test_doubling_logs_at_a_rounding_midpoint(monkeypatch):
